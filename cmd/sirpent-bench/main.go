@@ -176,43 +176,43 @@ func startProfiles(cpu, mem string) (func(), error) {
 
 // printLive renders one result row for the console.
 func printLive(r livenet.BenchResult) {
-	fmt.Printf("%-12s %-7s %-8s hops=%-2d flows=%-2d gmp=%d  %10.0f pkts/s  %8.1f ns/hop  %6.3f allocs/pkt\n",
-		r.Topology, r.Mode, r.Injection, r.Hops, r.Flows, r.GOMAXPROCS, r.PktsPerSec, r.NsPerHop, r.AllocsPerPkt)
+	fmt.Printf("%-12s batch=%-3d %-8s hops=%-2d flows=%-2d gmp=%d  %10.0f pkts/s  %8.1f ns/hop  %6.3f allocs/pkt\n",
+		r.Topology, r.Batch, r.Injection, r.Hops, r.Flows, r.GOMAXPROCS, r.PktsPerSec, r.NsPerHop, r.AllocsPerPkt)
 }
 
-// runLive measures the forwarding fast path on both substrates — hop
-// chains of increasing length, a 4×4 router mesh, a flow-count sweep
-// through a shared trunk, a GOMAXPROCS sweep, and the isolated-hop
-// kernel — writing every row as JSON.
+// runLive measures the forwarding fast path — hop chains of increasing
+// length, a 4×4 router mesh, a flow-count sweep through a shared trunk,
+// a GOMAXPROCS sweep, and the isolated-hop kernel at the one-frame and
+// default batch sizes — writing every row as JSON.
 func runLive(out string, dur time.Duration) error {
 	var results []livenet.BenchResult
 	add := func(r livenet.BenchResult) {
 		printLive(r)
 		results = append(results, r)
 	}
-	for _, batched := range []bool{false, true} {
-		for _, hops := range []int{1, 2, 4, 8, 12, 16} {
-			add(livenet.BenchChain(hops, dur, batched))
-		}
-		// Prepared injection strips the per-packet endpoint encode/decode
-		// so short chains expose the network cost instead of the hosts'.
-		for _, hops := range []int{1, 4, 12} {
-			add(livenet.BenchChainPrepared(hops, dur, batched))
-		}
-		add(livenet.BenchMesh(4, 4, dur, batched))
-		for _, flows := range []int{1, 2, 4, 8} {
-			add(livenet.BenchFan(4, flows, dur, batched))
-		}
-		// Isolated hop: the router kernel with no endpoint overhead.
-		// Iteration count chosen so the measurement takes ~dur.
-		add(livenet.BenchHop(batched, 1<<21))
+	for _, hops := range []int{1, 2, 4, 8, 12, 16} {
+		add(livenet.BenchChain(hops, dur))
 	}
-	// GOMAXPROCS sweep on the batched 4-hop chain: on a multi-core box
-	// shard workers spread across Ps; on one core the curve is flat.
+	// Prepared injection strips the per-packet endpoint encode/decode so
+	// short chains expose the network cost instead of the hosts'.
+	for _, hops := range []int{1, 4, 12} {
+		add(livenet.BenchChainPrepared(hops, dur))
+	}
+	add(livenet.BenchMesh(4, 4, dur))
+	for _, flows := range []int{1, 2, 4, 8} {
+		add(livenet.BenchFan(4, flows, dur))
+	}
+	// Isolated hop: the router kernel with no endpoint overhead.
+	// Iteration count chosen so the measurement takes ~dur.
+	for _, batch := range []int{1, livenet.DefaultBatchSize} {
+		add(livenet.BenchHop(batch, 1<<21))
+	}
+	// GOMAXPROCS sweep on the 4-hop chain: on a multi-core box shard
+	// workers spread across Ps; on one core the curve is flat.
 	prev := runtime.GOMAXPROCS(0)
 	for _, gmp := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(gmp)
-		add(livenet.BenchChain(4, dur, true))
+		add(livenet.BenchChain(4, dur))
 	}
 	runtime.GOMAXPROCS(prev)
 

@@ -125,6 +125,13 @@ func CollectNetsimLedger(net *core.Internetwork) *ledger.Ledger {
 // anomalies for evidence, and the token caches are swept into a ledger
 // at quiesce.
 func RunLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration, opts ...livenet.NetworkOption) (*Result, stats.Counters, *ledger.Ledger, *ledger.FlightRecorder) {
+	res, ctrs, led, fr, _ := runLivenetLedgered(sc, routes, deadline, opts...)
+	return res, ctrs, led, fr
+}
+
+// runLivenetLedgered is RunLivenetLedgered that also reports each
+// router's token-cache work at quiesce.
+func runLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration, opts ...livenet.NetworkOption) (*Result, stats.Counters, *ledger.Ledger, *ledger.FlightRecorder, []TokenWork) {
 	ln := BuildLivenet(sc, opts...)
 	defer ln.Net.Stop()
 	fr := ledger.NewFlightRecorder(0)
@@ -145,11 +152,42 @@ func RunLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadlin
 	ln.Settle(res, deadline)
 
 	col := ledger.NewCollector(ledger.New())
+	work := make([]TokenWork, len(ln.Routers))
 	for i, r := range ln.Routers {
 		col.AddAccountSource(RouterName(i), r.TokenCache().AccountTotals)
+		work[i].Verifies, work[i].Hits = r.TokenCache().Metrics()
 	}
 	col.Collect()
-	return res, ln.RouterCounters(), col.Ledger(), fr
+	return res, ln.RouterCounters(), col.Ledger(), fr, work
+}
+
+// TokenWork is one router's token-cache effort over a run: full MAC
+// verifications (cache misses) and lookups answered from cache.
+type TokenWork struct{ Verifies, Hits uint64 }
+
+// NetsimTokenWork collects every netsim router's token-cache work,
+// index-aligned with the scenario's routers.
+func NetsimTokenWork(net *core.Internetwork, sc *Scenario) []TokenWork {
+	work := make([]TokenWork, sc.NRouters)
+	for i := range work {
+		work[i].Verifies, work[i].Hits = net.Router(RouterName(i)).TokenCache().Metrics()
+	}
+	return work
+}
+
+// DiffTokenWork compares two runs' per-router token-cache work, one line
+// per router whose verifications or hits diverge. A substrate that
+// verifies a token more often than the other pays extra HMACs for the
+// same traffic, even when every verdict and charge agrees.
+func DiffTokenWork(a, b string, wa, wb []TokenWork) []string {
+	var out []string
+	for i := range wa {
+		if wa[i] != wb[i] {
+			out = append(out, fmt.Sprintf("%s token work: %s %d verifies + %d hits, %s %d + %d",
+				RouterName(i), a, wa[i].Verifies, wa[i].Hits, b, wb[i].Verifies, wb[i].Hits))
+		}
+	}
+	return out
 }
 
 // DiffLedgers compares the two substrates' per-account billing totals

@@ -22,9 +22,8 @@ type LiveNet struct {
 
 // BuildLivenet realizes a scenario on the livenet substrate with the
 // same explicit port numbering as BuildNetsim. Options select the
-// substrate variant — livenet.WithBatching() builds the identical
-// topology on ring pipes and batch workers, which is how the
-// batch-vs-scalar parity suite gets three realizations of one scenario.
+// livenet shape — batch size and shard count — which is how the shape
+// parity suite realizes one scenario several ways.
 func BuildLivenet(sc *Scenario, opts ...livenet.NetworkOption) *LiveNet {
 	ln := &LiveNet{Net: livenet.NewNetwork(opts...)}
 	for i := 0; i < sc.NRouters; i++ {

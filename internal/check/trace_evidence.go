@@ -74,8 +74,8 @@ func TraceEvidence(label string, rec *trace.Recorder, flowIDs []uint64) string {
 
 // RunLivenetTraced is RunLivenet with a flow-keyed hop-trace Recorder
 // installed on the network, so a divergence found afterwards can be
-// explained hop by hop. Options pick the substrate variant (e.g.
-// livenet.WithBatching()).
+// explained hop by hop. Options pick the livenet shape (e.g.
+// livenet.WithBatchSize(1)).
 func RunLivenetTraced(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration, opts ...livenet.NetworkOption) (*Result, stats.Counters, *trace.Recorder) {
 	rec := trace.NewRecorder(TraceID)
 	res, ctrs := runLivenet(sc, routes, deadline, rec, opts...)

@@ -50,6 +50,14 @@ type GatewayServer struct {
 	col     *ledger.Collector
 }
 
+// gatewayLinkDepth sizes every link of the gateway chain, per
+// direction, to hold one stream's full window: the relay's 4
+// unacknowledged groups of up to vmtp.MaxGroupPackets packets each. A
+// router flushes a whole batch into its transmit ring at once and drops
+// what does not fit, so a ring shallower than the window overflows on a
+// window-sized burst even when the chain keeps up on average.
+const gatewayLinkDepth = 4 * vmtp.MaxGroupPackets
+
 // StartGateway builds the chain and starts serving SOCKS5.
 func StartGateway(cfg GatewayConfig) (*GatewayServer, error) {
 	if cfg.Hops <= 0 {
@@ -71,11 +79,12 @@ func StartGateway(cfg GatewayConfig) (*GatewayServer, error) {
 	}
 	inHost := nw.NewHost("ingress")
 	egHost := nw.NewHost("egress")
-	nw.Connect(inHost, 1, gs.routers[0], 1, livenet.WithDepth(64))
+	depth := livenet.WithDepth(gatewayLinkDepth)
+	nw.Connect(inHost, 1, gs.routers[0], 1, depth)
 	for i := 0; i < cfg.Hops-1; i++ {
-		nw.Connect(gs.routers[i], 100, gs.routers[i+1], 1, livenet.WithDepth(64))
+		nw.Connect(gs.routers[i], 100, gs.routers[i+1], 1, depth)
 	}
-	nw.Connect(gs.routers[cfg.Hops-1], 2, egHost, 1, livenet.WithDepth(64))
+	nw.Connect(gs.routers[cfg.Hops-1], 2, egHost, 1, depth)
 
 	// One administrative domain guards the whole chain: every trunk
 	// and the egress attachment demand tokens, billed to the gateway

@@ -16,7 +16,7 @@ import (
 // batch instead of O(N).
 //
 // Equivalence contract (enforced by FuzzDecideBatch and the
-// batch-vs-scalar differential suite in internal/check, not by
+// netsim-vs-livenet shape-parity suite in internal/check, not by
 // inspection): for every frame, the verdict, the token charge, and the
 // resulting trailer surgery are byte-identical to what N scalar Decide
 // calls in the same order would produce. Anomaly sinks — flight-recorder
@@ -55,14 +55,17 @@ type BatchStats struct {
 }
 
 // DecideBatch runs the decision stage — decode, token authorization and
-// charging, three-way classification — for every frame of a batch,
-// writing each frame's verdict in place. Frames that fail to decode get
-// an ActionDrop verdict with DropNotSirpent; ActionAwaitToken verdicts
-// are left for the caller to resolve (InstallTokenBatched) in batch
-// order, so a deferral splits the batch exactly where the scalar path
-// would have blocked. Token charges land in the same order as N scalar
-// Decide calls; authorization counts accumulate into bs.
-func (p *Pipeline) DecideBatch(ts *TokenState, batch []BatchFrame, bs *BatchStats) {
+// charging, three-way classification — over a prefix of a batch,
+// writing each frame's verdict in place, and returns the prefix length.
+// Frames that fail to decode get an ActionDrop verdict with
+// DropNotSirpent. Deciding stops after the first ActionAwaitToken
+// verdict: the caller resolves it (InstallTokenBatched) and calls again
+// on the rest, so a deferral splits the batch exactly where the scalar
+// path would have blocked — later frames carrying the same token then
+// hit the cache instead of each paying a full verification. Token
+// charges land in the same order as N scalar Decide calls;
+// authorization counts accumulate into bs.
+func (p *Pipeline) DecideBatch(ts *TokenState, batch []BatchFrame, bs *BatchStats) int {
 	for i := range batch {
 		b := &batch[i]
 		var err error
@@ -73,7 +76,11 @@ func (p *Pipeline) DecideBatch(ts *TokenState, batch []BatchFrame, bs *BatchStat
 		}
 		in := HopInput{InPort: b.InPort, Seg: &b.Seg, ChargeBytes: b.ChargeBytes}
 		b.Verdict = p.decide(ts, &in, bs)
+		if b.Verdict.Action == ActionAwaitToken {
+			return i + 1
+		}
 	}
+	return len(batch)
 }
 
 // InstallTokenBatched is InstallToken with the authorization count
@@ -100,42 +107,19 @@ func (p *Pipeline) LocalBatched(bs *BatchStats, inPort uint8, pt *trace.PacketTr
 	p.localSinks(inPort, pt, arrived)
 }
 
-// FlushBatch publishes a batch's accumulated counts through the hooks —
-// one call per touched counter — and zeroes bs for reuse. Batched hooks
-// are preferred; a missing one falls back to the scalar hook invoked
-// delta times, so a substrate that only wires scalar hooks still counts
-// correctly.
+// FlushBatch publishes a batch's accumulated counts through the batched
+// hooks — one call per touched counter — and zeroes bs for reuse.
 func (p *Pipeline) FlushBatch(bs *BatchStats) {
-	if bs.TokenAuthorized > 0 {
-		switch {
-		case p.Hooks.CountTokenAuthorizedN != nil:
-			p.Hooks.CountTokenAuthorizedN(bs.TokenAuthorized)
-		case p.Hooks.CountTokenAuthorized != nil:
-			for i := uint64(0); i < bs.TokenAuthorized; i++ {
-				p.Hooks.CountTokenAuthorized()
-			}
-		}
+	if bs.TokenAuthorized > 0 && p.Hooks.CountTokenAuthorizedN != nil {
+		p.Hooks.CountTokenAuthorizedN(bs.TokenAuthorized)
 	}
-	if bs.Local > 0 {
-		switch {
-		case p.Hooks.CountLocalN != nil:
-			p.Hooks.CountLocalN(bs.Local)
-		case p.Hooks.CountLocal != nil:
-			for i := uint64(0); i < bs.Local; i++ {
-				p.Hooks.CountLocal()
-			}
-		}
+	if bs.Local > 0 && p.Hooks.CountLocalN != nil {
+		p.Hooks.CountLocalN(bs.Local)
 	}
-	for reason, n := range bs.Drops {
-		if n == 0 {
-			continue
-		}
-		switch {
-		case p.Hooks.CountDropN != nil:
-			p.Hooks.CountDropN(stats.DropReason(reason), n)
-		case p.Hooks.CountDrop != nil:
-			for i := uint64(0); i < n; i++ {
-				p.Hooks.CountDrop(stats.DropReason(reason))
+	if p.Hooks.CountDropN != nil {
+		for reason, n := range bs.Drops {
+			if n > 0 {
+				p.Hooks.CountDropN(stats.DropReason(reason), n)
 			}
 		}
 	}

@@ -72,8 +72,8 @@ func resolveScalar(p *Pipeline, ts *TokenState, data []byte) Verdict {
 // identically-configured independent token state. Everything observable
 // must match frame for frame: the settled verdict (action, out port,
 // drop reason, charged account), the decoded segment and remainder the
-// surgery would consume, the counter totals, and the token cache's
-// per-account usage (charge ordering included — a swapped charge order
+// surgery would consume, the counter totals, the token cache's
+// verification and hit counts, and its per-account usage (charge ordering included — a swapped charge order
 // shows up as diverging totals once a budget edge is crossed).
 func FuzzDecideBatch(f *testing.F) {
 	seedAuth := token.NewAuthority([]byte("fuzz-key"))
@@ -127,28 +127,33 @@ func FuzzDecideBatch(f *testing.F) {
 		pb := countingPipeline(&cb, true)
 		ps := countingPipeline(&cs, false)
 
-		// Batch side: decide all, then settle in batch order — deferral
-		// resolution, drop/local accounting — then flush once.
+		// Batch side: decide a prefix, settle it in batch order —
+		// deferral resolution, drop/local accounting — and decide the rest
+		// after each deferral, then flush once.
 		batch := make([]BatchFrame, n)
 		for i, fr := range frames {
 			batch[i] = BatchFrame{InPort: 1, ChargeBytes: uint64(len(fr)), Pkt: fr}
 		}
 		var bs BatchStats
-		pb.DecideBatch(tsB, batch, &bs)
 		settled := make([]Verdict, n)
-		for i := range batch {
-			v := batch[i].Verdict
-			if v.Action == ActionAwaitToken {
-				in := HopInput{InPort: 1, Seg: &batch[i].Seg, ChargeBytes: batch[i].ChargeBytes}
-				v = pb.InstallTokenBatched(tsB, &in, &bs)
+		for i := 0; i < n; {
+			for end := i + pb.DecideBatch(tsB, batch[i:], &bs); i < end; i++ {
+				v := batch[i].Verdict
+				if v.Action == ActionAwaitToken {
+					if i != end-1 {
+						t.Fatalf("frame %d/%d: decided past a token deferral", i, n)
+					}
+					in := HopInput{InPort: 1, Seg: &batch[i].Seg, ChargeBytes: batch[i].ChargeBytes}
+					v = pb.InstallTokenBatched(tsB, &in, &bs)
+				}
+				switch v.Action {
+				case ActionDrop:
+					pb.DropBatched(&bs, v.Reason, 1, v.Account, nil, 0)
+				case ActionLocal:
+					pb.LocalBatched(&bs, 1, nil, 0)
+				}
+				settled[i] = v
 			}
-			switch v.Action {
-			case ActionDrop:
-				pb.DropBatched(&bs, v.Reason, 1, v.Account, nil, 0)
-			case ActionLocal:
-				pb.LocalBatched(&bs, 1, nil, 0)
-			}
-			settled[i] = v
 		}
 		pb.FlushBatch(&bs)
 
@@ -175,6 +180,11 @@ func FuzzDecideBatch(f *testing.F) {
 		}
 		if bt, st := tsB.Cache().AccountTotals(), tsS.Cache().AccountTotals(); !reflect.DeepEqual(bt, st) {
 			t.Fatalf("token account totals diverge: batch %v, scalar %v", bt, st)
+		}
+		bv, bh := tsB.Cache().Metrics()
+		sv, sh := tsS.Cache().Metrics()
+		if bv != sv || bh != sh {
+			t.Fatalf("token cache work diverges: batch %d verifies + %d hits, scalar %d + %d", bv, bh, sv, sh)
 		}
 	})
 }

@@ -30,8 +30,8 @@ type Hooks struct {
 	// CountDropN, CountLocalN and CountTokenAuthorizedN are the batched
 	// counterparts, invoked once per batch by FlushBatch with the
 	// accumulated delta so an N-frame batch costs one counter update
-	// instead of N. When a batched hook is nil, FlushBatch falls back to
-	// invoking the scalar hook delta times — correct, just unamortized.
+	// instead of N. A substrate that forwards in batches wires these; the
+	// scalar hooks serve Decide, InstallToken, Drop and Local.
 	CountDropN            func(stats.DropReason, uint64)
 	CountLocalN           func(uint64)
 	CountTokenAuthorizedN func(uint64)

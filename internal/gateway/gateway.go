@@ -300,11 +300,8 @@ func (r *relay) pump(st *stream) {
 	buf := make([]byte, r.cfg.GroupBytes)
 	for {
 		n, err := st.conn.Read(buf)
-		if n > 0 {
-			data := append([]byte(nil), buf[:n]...)
-			if !r.sendGroup(st, data, false) {
-				return
-			}
+		if n > 0 && !r.sendGroup(st, buf[:n], false) {
+			return
 		}
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
@@ -326,7 +323,9 @@ func isEOF(err error) bool {
 
 // sendGroup acquires a window slot and issues the data group's VMTP
 // transaction asynchronously; the slot is held until the receiver has
-// written the bytes and replied. Returns false once the stream is dead.
+// written the bytes and replied. data is encoded before sendGroup
+// returns, so the caller may reuse it. Returns false once the stream is
+// dead.
 func (r *relay) sendGroup(st *stream, data []byte, fin bool) bool {
 	seq := st.outSeq
 	st.outSeq++
@@ -335,24 +334,25 @@ func (r *relay) sendGroup(st *stream, data []byte, fin bool) bool {
 	case <-st.done:
 		return false
 	}
+	m := &Msg{Op: OpData, Fin: fin, Stream: st.key.id, Seq: seq, Data: data}
+	if r.cfg.Telemetry != nil {
+		if n := r.traceSeq.Add(1); r.cfg.TraceEvery <= 1 || n%uint64(r.cfg.TraceEvery) == 0 {
+			m.Ctx = trace.Context{ID: r.ctxBase | n, Origin: time.Now().UnixNano(), Budget: trace.DefaultHopBudget}
+		}
+	}
+	wire, size := m.Encode(), uint64(len(data))
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
 		defer func() { <-st.window }()
-		m := &Msg{Op: OpData, Fin: fin, Stream: st.key.id, Seq: seq, Data: data}
-		if r.cfg.Telemetry != nil {
-			if n := r.traceSeq.Add(1); r.cfg.TraceEvery <= 1 || n%uint64(r.cfg.TraceEvery) == 0 {
-				m.Ctx = trace.Context{ID: r.ctxBase | n, Origin: time.Now().UnixNano(), Budget: trace.DefaultHopBudget}
-			}
-		}
 		start := time.Now()
-		rep, err := r.rt.Call(st.key.peer, st.route, m.Encode())
+		rep, err := r.rt.Call(st.key.peer, st.route, wire)
 		if err == nil && DecodeReply(rep) == ReplySuccess {
 			r.latMu.Lock()
 			r.lat.Add(time.Since(start).Microseconds())
 			r.latMu.Unlock()
 			r.groupsSent.Add(1)
-			r.bytesIn.Add(uint64(len(data)))
+			r.bytesIn.Add(size)
 			if m.Ctx.Valid() {
 				// The group's whole mesh round trip — segmentation, every
 				// tunnel crossing, relay forwarding, the far socket write,

@@ -1,15 +1,14 @@
 package livenet
 
-// This file is the batched livenet substrate (ROADMAP item 1): links are
-// single-producer/single-consumer frame rings (internal/ring) instead of
-// channels, and each router runs shard workers that drain whole batches,
-// decide them through dataplane.DecideBatch, and flush the results port
-// by port. The per-frame work — byte surgery, trace hops, flight events
-// — is identical to the scalar path (mirrorHop is shared by both); what
-// amortizes is everything around it: ring handoffs replace one channel
-// send per frame, counter-hook dispatch collapses to one flush per
-// batch, and a port's worth of output frames transmits under one
-// producer lock.
+// This file is the livenet substrate's forwarding machinery: links are
+// single-producer/single-consumer frame rings (internal/ring), and each
+// node runs shard workers that drain whole batches. A router decides a
+// batch through dataplane.DecideBatch and flushes the results port by
+// port. The per-frame work — byte surgery, trace hops, flight events —
+// runs frame at a time in arrival order; what amortizes is everything
+// around it: one ring handoff per batch instead of per frame, one
+// counter flush per batch, and one producer lock per output port per
+// batch. WithBatchSize(1) degenerates to a one-frame handoff.
 //
 // Concurrency discipline:
 //
@@ -27,14 +26,14 @@ package livenet
 //     behind, so wakeups are never lost. Neither side ever spins.
 //
 // Ordering: frames bound for the same output port flush in arrival
-// order, so per-flow FIFO — the ordering the scalar substrate provides —
-// is preserved. Frames of one batch bound for different ports may
-// overtake each other, which the scalar substrate never promised to
-// forbid (concurrent routers already interleave).
+// order, so per-flow FIFO is preserved. Frames of one batch bound for
+// different ports may overtake each other, which concurrent routers
+// already allow.
 //
-// Equivalence with the scalar substrate is enforced by the
-// batch-vs-scalar differential suite in internal/check, not argued here.
-// See DESIGN.md §11 for the full batch contract.
+// Equivalence with the event-driven substrate is enforced by the
+// netsim-vs-livenet differential suites in internal/check, swept across
+// batch sizes and shard counts. See DESIGN.md §11 for the batch
+// contract.
 
 import (
 	"sync"
@@ -43,16 +42,16 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dataplane"
 	"repro/internal/ethernet"
+	"repro/internal/pool"
 	"repro/internal/ring"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/viper"
 )
 
-// pipe is one direction of a batched link: a frame ring plus the
-// doorbells that let both ends sleep. port is the consumer's arrival
-// port; link carries the fault-injection lottery, drawn at dequeue as
-// the scalar pump goroutines draw it.
+// pipe is one direction of a link: a frame ring plus the doorbells that
+// let both ends sleep. port is the consumer's arrival port; link carries
+// the fault-injection lottery, drawn per frame at dequeue.
 type pipe struct {
 	r    *ring.SPSC[Frame]
 	port uint8
@@ -112,10 +111,8 @@ func (p *pipe) push(frames []Frame, sdone <-chan struct{}) int {
 }
 
 // tryPush is push without the park: it transfers what fits and returns
-// immediately. Router flushes use it — a router worker parked on a full
-// ring can wedge against a neighbor parked on its ring in turn (see
-// node.trySend) — so the overflow is dropped DropQueueFull instead, as
-// the simulation substrate's outport does.
+// immediately. Router flushes use it — see flushTx for why a router
+// never parks.
 func (p *pipe) tryPush(frames []Frame) int {
 	p.mu.Lock()
 	n := p.r.PushBatch(frames)
@@ -183,28 +180,12 @@ func (nd *node) addRx(p *pipe) {
 // addTx registers a transmit pipe under an output port.
 func (nd *node) addTx(port uint8, p *pipe) {
 	nd.mu.Lock()
-	if nd.outP == nil {
-		nd.outP = make(map[uint8]*pipe)
-	}
-	nd.outP[port] = p
+	nd.out[port] = p
 	nd.mu.Unlock()
 }
 
-// connectBatched is Connect's batched branch: one pipe per direction,
-// receive ends registered before transmit ends so no frame can arrive at
-// an unregistered consumer.
-func (n *Network) connectBatched(a *node, portA uint8, b *node, portB uint8, depth int, l *Link) {
-	ab := newPipe(depth, portB, l, b) // a -> b, arrives on b's portB
-	ba := newPipe(depth, portA, l, a) // b -> a, arrives on a's portA
-	b.addRx(ab)
-	a.addRx(ba)
-	a.addTx(portA, ab)
-	b.addTx(portB, ba)
-}
-
 // drainPipe pops up to one batch from p, draws the link's fault lottery
-// per frame (what the scalar pump goroutines do at delivery), stamps
-// arrivals for traced frames, and appends the survivors to sc.in. The
+// per frame, stamps arrivals for traced frames, and appends the survivors to sc.in. The
 // return value counts everything popped — survivors and casualties — so
 // the caller can tell an empty pipe from a lossy one.
 func (nd *node) drainPipe(p *pipe, sc *batchScratch) int {
@@ -234,7 +215,7 @@ func (nd *node) drainPipe(p *pipe, sc *batchScratch) int {
 
 // txAccum collects one output port's frames for a single flush. The
 // inFrame wrapper keeps each frame's INBOUND port and arrival stamp so a
-// failed transmit is drop-accounted exactly as the scalar path would.
+// failed transmit is drop-accounted against the arrival.
 type txAccum struct {
 	port  uint8
 	items []inFrame
@@ -245,8 +226,8 @@ type txAccum struct {
 // allocates nothing (TestForwardHopAllocsBatched).
 type batchScratch struct {
 	tmp     []Frame                // pop destination, len = batch size
-	in      []inFrame              // fault-lottery survivors of one drain
-	bf      []dataplane.BatchFrame // the kernel's view of sc.in
+	in      []inFrame              // work list: drain survivors, then re-entered frames
+	bf      []dataplane.BatchFrame // the kernel's view of sc.in, index-aligned
 	bs      dataplane.BatchStats
 	txIdx   map[uint8]int // output port -> index into tx; persists across batches
 	tx      []txAccum
@@ -266,7 +247,7 @@ func newBatchScratch(batchSize int) *batchScratch {
 	}
 }
 
-// runShard is a batched router worker: sweep the shard's pipes, forward
+// runShard is a router worker: sweep the shard's pipes, forward
 // each drained batch, sleep on the doorbell when a full sweep comes up
 // empty.
 func (r *Router) runShard(sh *shard) {
@@ -301,9 +282,7 @@ func (r *Router) runShard(sh *shard) {
 // authorized frame — swap the arrival header in place, build the
 // mirrored return segment, append it over the trailer descriptor — and
 // assembles the next-hop frame in the same buffer. ok is false when the
-// bytes are malformed (the caller drops DropNotSirpent). Shared by the
-// scalar forward and forwardBatch so the surgery is identical by
-// construction.
+// bytes are malformed (the caller drops DropNotSirpent).
 func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, ts *dataplane.TokenState) (Frame, bool) {
 	// The frame is ours, so the header is swapped in place and aliased;
 	// the mirrored append below copies the bytes into the trailer.
@@ -349,91 +328,186 @@ func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, ts *da
 	return f, true
 }
 
-// forwardBatch runs one drained batch through the batched hop kernel and
+// stage appends the kernel's view of work item sc.in[i] to sc.bf. The
+// charge size matches the simulator's FrameSize: the full pre-strip
+// packet plus the arrival Ethernet header, so per-account byte totals
+// agree across substrates.
+func (sc *batchScratch) stage(i int) {
+	inf := &sc.in[i]
+	cb := uint64(len(inf.frame.Pkt))
+	if inf.frame.Hdr != nil {
+		cb += ethernet.HeaderLen
+	}
+	sc.bf = append(sc.bf, dataplane.BatchFrame{InPort: inf.port, ChargeBytes: cb, Pkt: inf.frame.Pkt})
+}
+
+// reenter appends a frame produced mid-batch — a multicast branch copy
+// or a failover splice — to the batch's work list; forwardBatch decides
+// and disposes of it after the frames already queued.
+func (sc *batchScratch) reenter(inf inFrame) {
+	sc.in = append(sc.in, inf)
+	sc.stage(len(sc.in) - 1)
+}
+
+// forwardBatch runs one drained batch through the hop kernel and
 // flushes the results port by port. Decisions (DecideBatch) and counter
 // publication (FlushBatch) amortize across the batch; the per-frame
 // sinks — flight events, trace hops, the byte surgery itself — run
-// frame-at-a-time in arrival order, exactly as the scalar forward.
-// Token deferrals resolve in batch order (InstallTokenBatched), so the
-// charge sequence matches N scalar hops.
+// frame at a time in arrival order. DecideBatch stops after a frame
+// whose token is uncached: that token verifies synchronously (Block
+// mode) before the rest of the batch is decided, so later frames with
+// the same token hit the cache and one new token costs one HMAC
+// verification however many of its frames share the batch.
 func (r *Router) forwardBatch(sc *batchScratch) {
 	ts := r.tok.Load()
 	sc.bf = sc.bf[:0]
 	for i := range sc.in {
-		inf := &sc.in[i]
-		// The charge size matches the simulator's FrameSize: the full
-		// pre-strip packet plus the arrival Ethernet header.
-		cb := uint64(len(inf.frame.Pkt))
-		if inf.frame.Hdr != nil {
-			cb += ethernet.HeaderLen
-		}
-		sc.bf = append(sc.bf, dataplane.BatchFrame{
-			InPort:      inf.port,
-			ChargeBytes: cb,
-			Pkt:         inf.frame.Pkt,
-		})
+		sc.stage(i)
 	}
-	r.plane.DecideBatch(ts, sc.bf, &sc.bs)
-
-	for i := range sc.bf {
-		b := &sc.bf[i]
-		inf := &sc.in[i]
-		v := b.Verdict
-		if v.Action == dataplane.ActionAwaitToken {
-			// Block mode, as on the scalar path: the uncached token
-			// verifies synchronously, in batch order.
-			in := dataplane.HopInput{InPort: b.InPort, Seg: &b.Seg, ChargeBytes: b.ChargeBytes}
-			v = r.plane.InstallTokenBatched(ts, &in, &sc.bs)
+	for i := 0; i < len(sc.bf); {
+		for end := i + r.plane.DecideBatch(ts, sc.bf[i:], &sc.bs); i < end; i++ {
+			r.dispose(sc, i, ts)
 		}
-		switch v.Action {
-		case dataplane.ActionDrop:
-			r.plane.DropBatched(&sc.bs, v.Reason, inf.port, v.Account, inf.frame.Trace, inf.arrived)
-			inf.frame.release()
-			continue
-		case dataplane.ActionTree:
-			// Fanout re-enters the scalar forward per branch copy; its
-			// counters go through the scalar hooks, which is equivalent.
-			r.fanoutTree(*inf, &b.Seg, b.Rest)
-			continue
-		case dataplane.ActionFailover:
-			// Failover splices the alternate and re-enters the scalar
-			// forward, like the fanout re-entry above — the diverted frame
-			// leaves the batch and its counters go through the scalar
-			// hooks.
-			r.failover(*inf, &b.Seg, v, 0)
-			continue
-		}
-		f, ok := r.mirrorHop(inf, &b.Seg, b.Rest, ts)
-		if !ok {
-			r.plane.DropBatched(&sc.bs, stats.DropNotSirpent, inf.port, 0, inf.frame.Trace, inf.arrived)
-			inf.frame.release()
-			continue
-		}
-		if v.Action == dataplane.ActionLocal {
-			r.plane.LocalBatched(&sc.bs, inf.port, f.Trace, inf.arrived)
-			if r.local != nil {
-				r.local(f.Pkt)
-			} else {
-				f.release()
-			}
-			continue
-		}
-		// The forward hop is traced now but transmitted at flush; the
-		// worker owns the frame until the ring push publishes it, so the
-		// append-before-send rule holds.
-		r.plane.TraceForward(f.Trace, inf.port, v.OutPort, inf.arrived)
-		r.accumulate(sc, v.OutPort, inFrame{port: inf.port, frame: f, arrived: inf.arrived})
 	}
 	r.flushTx(sc)
 	r.plane.FlushBatch(&sc.bs)
-	for i := range sc.in {
-		sc.in[i] = inFrame{}
-	}
-	for i := range sc.bf {
-		sc.bf[i] = dataplane.BatchFrame{}
-	}
+	clear(sc.in)
+	clear(sc.bf)
 	sc.in = sc.in[:0]
 	sc.bf = sc.bf[:0]
+}
+
+// dispose realizes work item i's verdict: drop, multicast fanout,
+// failover splice, local delivery, or — the common case — the trailer
+// surgery and a place in its output port's flush. Fanout and failover
+// append new work items, so they get copies and nothing here touches
+// inf or b after calling them.
+func (r *Router) dispose(sc *batchScratch, i int, ts *dataplane.TokenState) {
+	inf := &sc.in[i]
+	b := &sc.bf[i]
+	v := b.Verdict
+	if v.Action == dataplane.ActionAwaitToken {
+		// Livenet realizes the Block mode: the uncached token is verified
+		// synchronously — the HMAC computation is the verification
+		// latency the packet waits out.
+		in := dataplane.HopInput{InPort: b.InPort, Seg: &b.Seg, ChargeBytes: b.ChargeBytes}
+		v = r.plane.InstallTokenBatched(ts, &in, &sc.bs)
+	}
+	switch v.Action {
+	case dataplane.ActionDrop:
+		r.drop(sc, v.Reason, *inf, v.Account)
+		return
+	case dataplane.ActionTree:
+		seg := b.Seg
+		r.fanoutTree(sc, *inf, &seg, b.Rest)
+		return
+	case dataplane.ActionFailover:
+		seg := b.Seg
+		r.failover(sc, *inf, &seg, v)
+		return
+	}
+	f, ok := r.mirrorHop(inf, &b.Seg, b.Rest, ts)
+	if !ok {
+		r.drop(sc, stats.DropNotSirpent, *inf, 0)
+		return
+	}
+	if v.Action == dataplane.ActionLocal {
+		r.plane.LocalBatched(&sc.bs, inf.port, f.Trace, inf.arrived)
+		if r.local != nil {
+			r.local(f.Pkt)
+		} else {
+			f.release()
+		}
+		return
+	}
+	// The forward hop is traced now but transmitted at flush; the worker
+	// owns the frame until the ring push publishes it, so the
+	// append-before-send rule holds.
+	r.plane.TraceForward(f.Trace, inf.port, v.OutPort, inf.arrived)
+	r.accumulate(sc, v.OutPort, inFrame{port: inf.port, frame: f, arrived: inf.arrived})
+}
+
+// drop accounts one discarded frame through the dataplane's sinks
+// (batched counter, flight event, trace terminal hop) and recycles its
+// buffer. account names the refused account on token denials.
+func (r *Router) drop(sc *batchScratch, reason stats.DropReason, inf inFrame, account uint32) {
+	r.plane.DropBatched(&sc.bs, reason, inf.port, account, inf.frame.Trace, inf.arrived)
+	inf.frame.release()
+}
+
+// failover realizes an ActionFailover verdict on the wire substrate:
+// record the diversion, splice the chosen alternate over the remaining
+// forward route in the frame's own buffer (SpliceAltRoute — in place
+// unless the branch header outgrows the buffer's capacity), and re-enter
+// the batch on the branch head, which carries its own token. The cap
+// stops a crafted alternate whose head is itself a dead-primary DAG
+// segment from cycling forever. The no-failover path never reaches
+// here, so its 0 allocs/hop contract is untouched.
+func (r *Router) failover(sc *batchScratch, inf inFrame, seg *viper.Segment, v dataplane.Verdict) {
+	if inf.failovers >= dataplane.MaxFailoverDepth {
+		r.drop(sc, stats.DropLinkDown, inf, 0)
+		return
+	}
+	r.plane.Failover(inf.port, seg.Port, v.OutPort, v.AltRank, inf.frame.Trace, inf.arrived)
+	old := inf.frame.Pkt
+	out, err := dataplane.SpliceAltRoute(old, v.AltRoute)
+	if err != nil {
+		r.drop(sc, stats.DropNotSirpent, inf, 0)
+		return
+	}
+	inf.frame.Pkt = out
+	if len(old) > 0 && len(out) > 0 && &out[0] != &old[0] {
+		// The splice outgrew the buffer and reallocated: out starts a
+		// fresh array (its own recycling target); the old buffer, still
+		// aliased by the arrival header, is left to the collector.
+		inf.frame.buf = out[:0]
+	}
+	inf.failovers++
+	sc.reenter(inf)
+}
+
+// fanoutTree handles tree-structured multicast (§2): fan one copy of the
+// packet down each branch by splicing the branch's segments in front of
+// the remaining bytes. Each branch gets its own pooled buffer (and its
+// own header copy — forwarding swaps headers in place, so branches must
+// not share one) and re-enters the batch; the original buffer is
+// recycled after the fanout. A traced packet's record ends here:
+// branches run on concurrent paths and must not share one record, so
+// they continue untraced.
+func (r *Router) fanoutTree(sc *batchScratch, inf inFrame, seg *viper.Segment, rest []byte) {
+	branches, err := viper.DecodeTree(seg.PortInfo)
+	if err != nil {
+		r.drop(sc, stats.DropBadPort, inf, 0)
+		return
+	}
+	r.plane.CloseFanout(inf.frame.Trace, inf.port, seg.Port, inf.arrived)
+	inf.frame.Trace = nil
+	for _, br := range branches {
+		headLen := 0
+		for i := range br {
+			headLen += br[i].WireLen()
+		}
+		buf := pool.Get(headLen + len(rest) + frameHeadroom(len(br), headLen))
+		full := buf
+		ok := true
+		for i := range br {
+			if buf, err = viper.AppendSegment(buf, &br[i]); err != nil {
+				ok = false
+				break
+			}
+		}
+		if !ok {
+			r.drop(sc, stats.DropBadPort, inFrame{port: inf.port, frame: Frame{Pkt: buf, buf: full}}, 0)
+			continue
+		}
+		buf = append(buf, rest...)
+		var hdr []byte
+		if inf.frame.Hdr != nil {
+			hdr = append([]byte(nil), inf.frame.Hdr...)
+		}
+		sc.reenter(inFrame{port: inf.port, frame: Frame{Hdr: hdr, Pkt: buf, buf: full}})
+	}
+	inf.frame.release()
 }
 
 // accumulate appends an outbound frame to its port's transmit batch.
@@ -456,17 +530,18 @@ func (r *Router) accumulate(sc *batchScratch, port uint8, item inFrame) {
 // flushTx transmits every accumulated output batch: one pipe lookup and
 // one producer lock per port per batch instead of per frame. The push
 // never parks (tryPush): frames that do not fit are dropped
-// DropQueueFull like the scalar path and the simulation outport, which
-// keeps router workers from wedging against each other on full rings.
-// DropBadPort covers an unwired port, DropTxError a shutdown race. The
-// trace record of a failed frame already carries its forward hop, so it
-// reads "attempted forward, then dropped" — same as scalar.
+// DropQueueFull, as the simulation substrate's outport does. A parking
+// router transmit would let two adjacent routers wedge each other under
+// bidirectional saturation (each parked on the other's full ring, so
+// neither drains) — a circular wait no queue depth removes. Hosts keep
+// the parking push; their backpressure cannot cycle because routers
+// always drain. DropBadPort covers an unwired port, DropTxError a
+// shutdown race. The trace record of a failed frame already carries its
+// forward hop, so it reads "attempted forward, then dropped".
 func (r *Router) flushTx(sc *batchScratch) {
 	for _, idx := range sc.touched {
 		a := &sc.tx[idx]
-		r.node.mu.Lock()
-		p := r.node.outP[a.port]
-		r.node.mu.Unlock()
+		p := r.node.txPipe(a.port)
 		sent := 0
 		reason := stats.DropBadPort
 		if p != nil {
@@ -502,7 +577,7 @@ func (r *Router) flushTx(sc *batchScratch) {
 	sc.touched = sc.touched[:0]
 }
 
-// runShard is the batched host receive loop: single shard, so a host's
+// runShard is the host receive loop: single shard, so a host's
 // deliveries stay in order across all its ports.
 func (h *Host) runShard(sh *shard) {
 	sc := newBatchScratch(h.netw.cfg.batchSize)

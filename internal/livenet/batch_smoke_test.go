@@ -8,13 +8,13 @@ import (
 	"repro/internal/viper"
 )
 
-// TestBatchedPingPong is the batched substrate's end-to-end smoke: a
-// two-router chain forwards a request on ring pipes, the receiver
-// replies along the mirrored return route, and both directions complete
-// — the same scenario TestLiveRequestResponseAcrossTwoRouters proves on
-// the scalar substrate.
+// TestBatchedPingPong is the end-to-end smoke at a non-default batch
+// size: a two-router chain forwards a request, the receiver replies
+// along the mirrored return route, and both directions complete — the
+// scenario TestLiveRequestResponseAcrossTwoRouters proves at the
+// default size.
 func TestBatchedPingPong(t *testing.T) {
-	n := NewNetwork(WithBatching(), WithBatchSize(8))
+	n := NewNetwork(WithBatchSize(8))
 	defer n.Stop()
 
 	src := n.NewHost("src")

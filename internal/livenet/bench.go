@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ethernet"
 	"repro/internal/pool"
+	"repro/internal/trace"
 	"repro/internal/viper"
 )
 
@@ -28,7 +29,7 @@ import (
 //     state. Does not depend on hops; end-to-end rows leave it 0.
 type BenchResult struct {
 	Topology     string  `json:"topology"`
-	Mode         string  `json:"mode"`      // "scalar" or "batched"
+	Batch        int     `json:"batch"`     // frames per ring handoff (WithBatchSize)
 	Injection    string  `json:"injection"` // "encode" (Host.Send), "prepared" (Sender), or "none" (isolated hop)
 	Hops         int     `json:"hops"`
 	Flows        int     `json:"flows"`
@@ -39,24 +40,6 @@ type BenchResult struct {
 	NsPerHop     float64 `json:"ns_per_hop"`
 	AllocsPerPkt float64 `json:"allocs_per_pkt"`
 	AllocsPerHop float64 `json:"allocs_per_hop,omitempty"`
-}
-
-// modeName labels a BenchResult row.
-func modeName(batched bool) string {
-	if batched {
-		return "batched"
-	}
-	return "scalar"
-}
-
-// benchNet builds the substrate under measurement. Batched networks get
-// one shard per expected concurrent flow so ingress ports spread across
-// workers.
-func benchNet(batched bool, shards int) *Network {
-	if !batched {
-		return NewNetwork()
-	}
-	return NewNetwork(WithBatching(), WithShards(shards))
 }
 
 // benchFlow is one source→sink stream for the benchmark runner.
@@ -154,10 +137,9 @@ func runFlows(flows []benchFlow, sinks []*Host, d time.Duration, window int, pre
 }
 
 // BenchChain measures forwarding through a linear chain of hops routers
-// (host → r1 → … → rN → host) for roughly duration d, on the scalar or
-// batched substrate.
-func BenchChain(hops int, d time.Duration, batched bool) BenchResult {
-	return benchChain(hops, d, batched, false)
+// (host → r1 → … → rN → host) for roughly duration d.
+func BenchChain(hops int, d time.Duration) BenchResult {
+	return benchChain(hops, d, false)
 }
 
 // BenchChainPrepared is BenchChain with prepared injection: packets
@@ -165,12 +147,12 @@ func BenchChain(hops int, d time.Duration, batched bool) BenchResult {
 // through a raw sink tap, so the row measures the network — links,
 // routers, hop kernel — without the per-packet endpoint encode/decode
 // that dominates short chains.
-func BenchChainPrepared(hops int, d time.Duration, batched bool) BenchResult {
-	return benchChain(hops, d, batched, true)
+func BenchChainPrepared(hops int, d time.Duration) BenchResult {
+	return benchChain(hops, d, true)
 }
 
-func benchChain(hops int, d time.Duration, batched, prepared bool) BenchResult {
-	n := benchNet(batched, 1)
+func benchChain(hops int, d time.Duration, prepared bool) BenchResult {
+	n := NewNetwork()
 	defer n.Stop()
 	routers := make([]*Router, hops)
 	for i := range routers {
@@ -186,14 +168,14 @@ func benchChain(hops int, d time.Duration, batched, prepared bool) BenchResult {
 
 	flows := []benchFlow{{src: src, route: chainRoute(hops, 1, 2)}}
 	pkts, elapsed, mallocs := runFlows(flows, []*Host{dst}, d, 64, prepared)
-	return result("chain", batched, prepared, hops, 1, pkts, elapsed, mallocs)
+	return result("chain", prepared, hops, 1, pkts, elapsed, mallocs)
 }
 
 // BenchMesh measures aggregate forwarding over a rows×cols router mesh:
 // one flow per row, entering at the left column and exiting at the
 // right, all rows concurrent. Packets traverse cols routers.
-func BenchMesh(rows, cols int, d time.Duration, batched bool) BenchResult {
-	n := benchNet(batched, 1)
+func BenchMesh(rows, cols int, d time.Duration) BenchResult {
+	n := NewNetwork()
 	defer n.Stop()
 	// Ports: 1 = left (host or west neighbor), 2 = right, 3 = up, 4 = down.
 	grid := make([][]*Router, rows)
@@ -224,16 +206,16 @@ func BenchMesh(rows, cols int, d time.Duration, batched bool) BenchResult {
 		sinks = append(sinks, dst)
 	}
 	pkts, elapsed, mallocs := runFlows(flows, sinks, d, 64, false)
-	return result(fmt.Sprintf("mesh%dx%d", rows, cols), batched, false, cols, rows, pkts, elapsed, mallocs)
+	return result(fmt.Sprintf("mesh%dx%d", rows, cols), false, cols, rows, pkts, elapsed, mallocs)
 }
 
 // BenchFan measures flow-count scaling: `flows` independent host pairs
 // share one chain of `hops` routers, each flow entering the first router
 // and leaving the last on its own port pair, so every trunk link carries
-// the aggregate. Batched networks run one shard per flow on each router,
-// spreading the per-flow ingress ports across workers.
-func BenchFan(hops, flows int, d time.Duration, batched bool) BenchResult {
-	n := benchNet(batched, flows)
+// the aggregate. Each router runs one shard per flow, spreading the
+// per-flow ingress ports across workers.
+func BenchFan(hops, flows int, d time.Duration) BenchResult {
+	n := NewNetwork(WithShards(flows))
 	defer n.Stop()
 	routers := make([]*Router, hops)
 	for i := range routers {
@@ -261,17 +243,17 @@ func BenchFan(hops, flows int, d time.Duration, batched bool) BenchResult {
 		sinks = append(sinks, dst)
 	}
 	pkts, elapsed, mallocs := runFlows(bf, sinks, d, 64*flows, false)
-	return result(fmt.Sprintf("fan%d", flows), batched, false, hops, flows, pkts, elapsed, mallocs)
+	return result(fmt.Sprintf("fan%d", flows), false, hops, flows, pkts, elapsed, mallocs)
 }
 
-func result(topo string, batched, prepared bool, hops, flows int, pkts uint64, elapsed time.Duration, mallocs uint64) BenchResult {
+func result(topo string, prepared bool, hops, flows int, pkts uint64, elapsed time.Duration, mallocs uint64) BenchResult {
 	injection := "encode"
 	if prepared {
 		injection = "prepared"
 	}
 	r := BenchResult{
 		Topology:   topo,
-		Mode:       modeName(batched),
+		Batch:      DefaultBatchSize,
 		Injection:  injection,
 		Hops:       hops,
 		Flows:      flows,
@@ -314,62 +296,39 @@ func hopTemplateBytes() []byte {
 	return b
 }
 
-// hopBenchBatch is the batch size the isolated batched driver amortizes
-// over — the substrate default.
-const hopBenchBatch = DefaultBatchSize
-
-// scalarHopDriver builds a router with no goroutine: forward is called
-// directly and the forwarded frame read back from a hand-wired port. The
-// unexported constructor wires the dataplane pipeline exactly as
-// NewRouter would, so the measurement is the production hop.
-func scalarHopDriver() (*Router, chan Frame) {
-	r := (&Network{}).newRouter("bench")
-	ch := make(chan Frame, 1)
-	r.node.out[2] = ch
-	return r, ch
-}
-
-// forwardOneHop pushes one pooled copy of the template through the
-// router and recycles the forwarded frame.
-func forwardOneHop(r *Router, ch chan Frame, tmpl []byte, hdr []byte) {
-	buf := pool.Get(len(tmpl) + frameHeadroom(2, len(tmpl)))
-	buf = append(buf, tmpl...)
-	copy(hdr, hopHdrTemplate)
-	r.forward(inFrame{port: 1, frame: Frame{Hdr: hdr, Pkt: buf, buf: buf[:0]}})
-	f := <-ch
-	f.release()
-}
-
-// batchedHopDriver builds a batched router with no worker goroutines:
-// forwardBatch is called directly and the flushed frames read back from
-// a hand-wired transmit pipe deep enough that a flush never parks. The
-// pipe's doorbell stays nil (a nil channel in a select with default is
-// never ready), so the measurement has no scheduler noise.
-func batchedHopDriver() (*Router, *pipe, *batchScratch) {
-	n := NewNetwork(WithBatching())
-	r := n.newRouter("bench")
-	sink := newNode("sink")
-	p := newPipe(4*hopBenchBatch, 2, nil, sink)
+// hopDriver builds a router with no worker goroutines: forwardBatch is
+// called directly and the flushed frames read back from a hand-wired
+// transmit pipe deep enough that a flush never parks. The pipe's
+// doorbell stays nil (a nil channel in a select with default is never
+// ready), so the measurement has no scheduler noise. The unexported
+// constructor wires the dataplane pipeline exactly as NewRouter would,
+// so the measurement is the production hop.
+func hopDriver(batch int) (*Router, *pipe, *batchScratch) {
+	r := NewNetwork().newRouter("bench")
+	p := newPipe(4*batch, 2, nil, newNode("sink", 1))
 	r.node.addTx(2, p)
-	return r, p, newBatchScratch(hopBenchBatch)
+	return r, p, newBatchScratch(batch)
 }
 
-// forwardOneBatch stages a full batch of pooled template frames as a
-// drain would (sc.in), runs them through forwardBatch, and drains the
-// transmit ring, recycling every frame. hdrs holds one reusable header
-// buffer per batch slot — each frame's header is swapped in place.
-func forwardOneBatch(r *Router, p *pipe, sc *batchScratch, tmpl []byte, hdrs [][]byte, drain []Frame) {
-	for i := 0; i < hopBenchBatch; i++ {
+// forwardOneBatch stages len(hdrs) pooled template frames as a drain
+// would (sc.in), runs them through forwardBatch, and drains the transmit
+// ring, recycling every frame. hdrs holds one reusable header buffer per
+// batch slot — each frame's header is swapped in place. A non-nil tr
+// attaches a fresh trace record to every frame.
+func forwardOneBatch(r *Router, p *pipe, sc *batchScratch, tmpl []byte, hdrs [][]byte, drain []Frame, tr trace.Tracer) {
+	for i := range hdrs {
 		buf := pool.Get(len(tmpl) + frameHeadroom(2, len(tmpl)))
 		buf = append(buf, tmpl...)
 		copy(hdrs[i], hopHdrTemplate)
-		sc.in = append(sc.in, inFrame{port: 1, frame: Frame{Hdr: hdrs[i], Pkt: buf, buf: buf[:0]}})
+		sc.in = append(sc.in, inFrame{port: 1, frame: Frame{Hdr: hdrs[i], Pkt: buf, Trace: trace.Start(tr, nil), buf: buf[:0]}})
 	}
 	r.forwardBatch(sc)
-	got := 0
-	for got < hopBenchBatch {
+	for got := 0; got < len(hdrs); {
 		n := p.r.PopBatch(drain)
 		for i := 0; i < n; i++ {
+			if drain[i].Trace != nil {
+				drain[i].Trace.Done()
+			}
 			drain[i].release()
 			drain[i] = Frame{}
 		}
@@ -377,35 +336,31 @@ func forwardOneBatch(r *Router, p *pipe, sc *batchScratch, tmpl []byte, hdrs [][
 	}
 }
 
-// BenchHop measures the router hop in isolation — no hosts, no
-// injection, no delivery — by driving the forward path directly for
-// iters hops after a warmup. This is the column that separates per-hop
-// cost from per-packet endpoint overhead: NsPerHop and AllocsPerHop
-// here are pure router numbers (AllocsPerHop is 0 in steady state on
-// both substrates).
-func BenchHop(batched bool, iters int) BenchResult {
-	tmpl := hopTemplateBytes()
-	var run func()
-	var perRun int
-	if batched {
-		r, p, sc := batchedHopDriver()
-		hdrs := make([][]byte, hopBenchBatch)
-		for i := range hdrs {
-			hdrs[i] = make([]byte, ethernet.HeaderLen)
-		}
-		drain := make([]Frame, hopBenchBatch)
-		run = func() { forwardOneBatch(r, p, sc, tmpl, hdrs, drain) }
-		perRun = hopBenchBatch
-	} else {
-		r, ch := scalarHopDriver()
-		hdr := make([]byte, ethernet.HeaderLen)
-		run = func() { forwardOneHop(r, ch, tmpl, hdr) }
-		perRun = 1
+// newHopBatch returns forwardOneBatch's per-slot header buffers and
+// drain destination for a batch of n frames.
+func newHopBatch(n int) (hdrs [][]byte, drain []Frame) {
+	hdrs = make([][]byte, n)
+	for i := range hdrs {
+		hdrs[i] = make([]byte, ethernet.HeaderLen)
 	}
-	for i := 0; i < 4*hopBenchBatch; i++ {
+	return hdrs, make([]Frame, n)
+}
+
+// BenchHop measures the router hop in isolation — no hosts, no
+// injection, no delivery — by driving forwardBatch directly with
+// batch-frame batches for iters hops after a warmup. This is the column
+// that separates per-hop cost from per-packet endpoint overhead:
+// NsPerHop and AllocsPerHop here are pure router numbers (AllocsPerHop
+// is 0 in steady state at every batch size).
+func BenchHop(batch, iters int) BenchResult {
+	tmpl := hopTemplateBytes()
+	r, p, sc := hopDriver(batch)
+	hdrs, drain := newHopBatch(batch)
+	run := func() { forwardOneBatch(r, p, sc, tmpl, hdrs, drain, nil) }
+	for i := 0; i < 256; i++ {
 		run()
 	}
-	runs := iters / perRun
+	runs := iters / batch
 	if runs < 1 {
 		runs = 1
 	}
@@ -418,10 +373,10 @@ func BenchHop(batched bool, iters int) BenchResult {
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms1)
-	hops := uint64(runs * perRun)
+	hops := uint64(runs * batch)
 	return BenchResult{
 		Topology:     "isolated-hop",
-		Mode:         modeName(batched),
+		Batch:        batch,
 		Injection:    "none",
 		Hops:         1,
 		Flows:        1,

@@ -7,29 +7,29 @@ import (
 	"time"
 
 	"repro/internal/dataplane"
-	"repro/internal/ethernet"
 	"repro/internal/pool"
 	"repro/internal/trace"
 	"repro/internal/viper"
 )
 
-// The hop-drive machinery — scalarHopDriver, hopTemplateBytes,
-// hopHdrTemplate, forwardOneHop — lives in bench.go so BenchHop can
+// The hop-drive machinery — hopDriver, forwardOneBatch, newHopBatch,
+// hopTemplateBytes, hopHdrTemplate — lives in bench.go so BenchHop can
 // reuse it outside tests.
 
-// TestForwardHopAllocs pins the tentpole regression bound: one forwarded
-// hop — decode, header swap, in-place trailer surgery, transmit — costs
-// at most one amortized heap allocation, and in steady state zero.
+// TestForwardHopAllocs pins the fast-path regression bound on the
+// one-frame batch (WithBatchSize(1)): one forwarded hop — decode, header
+// swap, in-place trailer surgery, ring transmit — costs at most one
+// amortized heap allocation, and in steady state zero.
 func TestForwardHopAllocs(t *testing.T) {
-	r, ch := scalarHopDriver()
+	r, p, sc := hopDriver(1)
 	tmpl := hopTemplateBytes()
-	hdr := make([]byte, ethernet.HeaderLen)
+	hdrs, drain := newHopBatch(1)
 	// Warm the pool so steady state is measured, not the first fill.
 	for i := 0; i < 8; i++ {
-		forwardOneHop(r, ch, tmpl, hdr)
+		forwardOneBatch(r, p, sc, tmpl, hdrs, drain, nil)
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		forwardOneHop(r, ch, tmpl, hdr)
+		forwardOneBatch(r, p, sc, tmpl, hdrs, drain, nil)
 	})
 	if allocs > 1 {
 		t.Fatalf("forwarding one hop allocates %.2f times, want <= 1", allocs)
@@ -39,18 +39,10 @@ func TestForwardHopAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkForwardHop measures the router fast path in isolation: ns and
-// allocs per §6.2 byte-surgery hop.
+// BenchmarkForwardHop measures the router fast path in isolation on
+// one-frame batches: ns and allocs per §6.2 byte-surgery hop.
 func BenchmarkForwardHop(b *testing.B) {
-	r, ch := scalarHopDriver()
-	tmpl := hopTemplateBytes()
-	hdr := make([]byte, ethernet.HeaderLen)
-	forwardOneHop(r, ch, tmpl, hdr)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		forwardOneHop(r, ch, tmpl, hdr)
-	}
+	benchmarkForwardHop(b, 1, nil)
 }
 
 // discardTracer opens records that are never retained, isolating the
@@ -67,41 +59,32 @@ func (discardTracer) Finish(*trace.PacketTrace) {}
 // EXPERIMENTS.md. Each iteration begins a fresh record, so the cost
 // includes record allocation, clock reads and the hop append.
 func BenchmarkForwardHopTraced(b *testing.B) {
-	r, ch := scalarHopDriver()
+	benchmarkForwardHop(b, 1, discardTracer{})
+}
+
+// benchmarkForwardHop drives batch-frame batches through the isolated
+// hop and reports ns per hop.
+func benchmarkForwardHop(b *testing.B, batch int, tr trace.Tracer) {
+	r, p, sc := hopDriver(batch)
 	tmpl := hopTemplateBytes()
-	hdr := make([]byte, ethernet.HeaderLen)
-	tr := discardTracer{}
-	forwardOneHop(r, ch, tmpl, hdr)
+	hdrs, drain := newHopBatch(batch)
+	forwardOneBatch(r, p, sc, tmpl, hdrs, drain, tr)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := pool.Get(len(tmpl) + frameHeadroom(2, len(tmpl)))
-		buf = append(buf, tmpl...)
-		copy(hdr, hopHdrTemplate)
-		pt := trace.Start(tr, nil)
-		r.forward(inFrame{port: 1, frame: Frame{Hdr: hdr, Pkt: buf, Trace: pt, buf: buf[:0]}})
-		f := <-ch
-		f.Trace.Done()
-		f.release()
+	hops := 0
+	for hops < b.N {
+		forwardOneBatch(r, p, sc, tmpl, hdrs, drain, tr)
+		hops += batch
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
 }
 
-// BenchmarkChain4 runs the full goroutine substrate — hosts, channels,
-// pumps — over a 4-router chain, reporting end-to-end packet cost.
+// BenchmarkChain4 runs the full goroutine substrate — hosts, rings,
+// shard workers — over a 4-router chain, reporting end-to-end packet
+// cost.
 func BenchmarkChain4(b *testing.B) {
-	res := BenchChain(4, 100*time.Millisecond, false)
-	if res.Packets == 0 {
-		b.Fatal("no packets delivered")
-	}
-	b.ReportMetric(res.NsPerHop, "ns/hop")
-	b.ReportMetric(res.PktsPerSec, "pkts/s")
-	b.ReportMetric(res.AllocsPerPkt, "allocs/pkt")
-}
-
-// BenchmarkChain4Batched is the same chain on the batched substrate:
-// ring-buffer links, shard workers, batch kernel.
-func BenchmarkChain4Batched(b *testing.B) {
-	res := BenchChain(4, 100*time.Millisecond, true)
+	res := BenchChain(4, 100*time.Millisecond)
 	if res.Packets == 0 {
 		b.Fatal("no packets delivered")
 	}
@@ -173,68 +156,60 @@ func randBytes(rng *rand.Rand, n int) []byte {
 // TestBenchChainSmoke keeps the benchmark harness itself under test: a
 // short run must deliver packets and produce sane derived metrics.
 func TestBenchChainSmoke(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		res := BenchChain(2, 50*time.Millisecond, batched)
-		if res.Packets == 0 || res.PktsPerSec <= 0 || res.NsPerHop <= 0 {
-			t.Fatalf("degenerate bench result: %+v", res)
-		}
-		if res.Topology != "chain" || res.Hops != 2 || res.Mode != modeName(batched) {
-			t.Fatalf("mislabeled result: %+v", res)
-		}
+	res := BenchChain(2, 50*time.Millisecond)
+	if res.Packets == 0 || res.PktsPerSec <= 0 || res.NsPerHop <= 0 {
+		t.Fatalf("degenerate bench result: %+v", res)
+	}
+	if res.Topology != "chain" || res.Hops != 2 || res.Batch != DefaultBatchSize {
+		t.Fatalf("mislabeled result: %+v", res)
 	}
 }
 
 // TestBenchMeshSmoke does the same for the mesh topology.
 func TestBenchMeshSmoke(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		res := BenchMesh(2, 2, 50*time.Millisecond, batched)
-		if res.Packets == 0 || res.Flows != 2 {
-			t.Fatalf("degenerate bench result: %+v", res)
-		}
+	res := BenchMesh(2, 2, 50*time.Millisecond)
+	if res.Packets == 0 || res.Flows != 2 {
+		t.Fatalf("degenerate bench result: %+v", res)
 	}
 }
 
 // TestBenchChainPreparedSmoke covers the prepared-injection rows:
 // Sender-injected packets must traverse the chain and reach the raw
-// sink on both substrates, with far fewer allocations per packet than
-// the encode path's ~7.
+// sink, with far fewer allocations per packet than the encode path's
+// ~7.
 func TestBenchChainPreparedSmoke(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		res := BenchChainPrepared(2, 50*time.Millisecond, batched)
-		if res.Packets == 0 || res.PktsPerSec <= 0 {
-			t.Fatalf("degenerate bench result: %+v", res)
-		}
-		if res.Injection != "prepared" {
-			t.Fatalf("mislabeled result: %+v", res)
-		}
-		if res.AllocsPerPkt > 1 {
-			t.Fatalf("prepared %s injection allocates %.2f/pkt, want <= 1", res.Mode, res.AllocsPerPkt)
-		}
+	res := BenchChainPrepared(2, 50*time.Millisecond)
+	if res.Packets == 0 || res.PktsPerSec <= 0 {
+		t.Fatalf("degenerate bench result: %+v", res)
+	}
+	if res.Injection != "prepared" {
+		t.Fatalf("mislabeled result: %+v", res)
+	}
+	if res.AllocsPerPkt > 1 {
+		t.Fatalf("prepared injection allocates %.2f/pkt, want <= 1", res.AllocsPerPkt)
 	}
 }
 
 // TestBenchFanSmoke covers the flow-count sweep topology: every flow
-// must deliver through the shared trunk on both substrates.
+// must deliver through the shared trunk.
 func TestBenchFanSmoke(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		res := BenchFan(3, 2, 50*time.Millisecond, batched)
-		if res.Packets == 0 || res.Flows != 2 || res.Hops != 3 {
-			t.Fatalf("degenerate bench result: %+v", res)
-		}
+	res := BenchFan(3, 2, 50*time.Millisecond)
+	if res.Packets == 0 || res.Flows != 2 || res.Hops != 3 {
+		t.Fatalf("degenerate bench result: %+v", res)
 	}
 }
 
 // TestBenchHopSmoke keeps the isolated-hop measurement sane: it must
-// report a positive per-hop time and zero steady-state allocations on
-// both substrates.
+// report a positive per-hop time and zero steady-state allocations at
+// both ends of the batch-size range.
 func TestBenchHopSmoke(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		res := BenchHop(batched, 2048)
-		if res.NsPerHop <= 0 || res.Packets == 0 {
+	for _, batch := range []int{1, DefaultBatchSize} {
+		res := BenchHop(batch, 2048)
+		if res.NsPerHop <= 0 || res.Packets == 0 || res.Batch != batch {
 			t.Fatalf("degenerate bench result: %+v", res)
 		}
 		if res.AllocsPerHop > 0.01 {
-			t.Fatalf("isolated %s hop allocates %.3f/hop, want 0", res.Mode, res.AllocsPerHop)
+			t.Fatalf("isolated hop at batch %d allocates %.3f/hop, want 0", batch, res.AllocsPerHop)
 		}
 	}
 }

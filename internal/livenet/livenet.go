@@ -1,6 +1,6 @@
 // Package livenet is a goroutine realization of the Sirpent forwarding
-// algorithm: hosts and routers are goroutines, links are channels, and
-// every hop operates on real wire bytes. Where netsim proves the timing
+// algorithm: hosts and routers are goroutines, links are frame rings,
+// and every hop operates on real wire bytes. Where netsim proves the timing
 // claims on virtual time, livenet proves the byte-level protocol — the
 // per-hop segment strip, the trailer surgery, the return-route reversal —
 // under true concurrency.
@@ -15,8 +15,8 @@
 //
 // Frames travel in pooled buffers (internal/pool) with capacity headroom
 // so the per-hop surgery happens in place. Exactly one node owns a
-// frame's buffer at any moment; a channel send transfers ownership to
-// the receiver. The owner either forwards the frame (ownership moves
+// frame's buffer at any moment; a ring push transfers ownership to the
+// receiver. The owner either forwards the frame (ownership moves
 // on), delivers it (the buffer is recycled when the handler returns), or
 // drops it (the buffer is recycled immediately). Frame.Hdr may alias the
 // dead front region of the same buffer — the bytes of already-stripped
@@ -53,10 +53,10 @@ type Frame struct {
 	Pkt []byte
 
 	// Trace is the packet's hop-level trace record, nil when tracing is
-	// off. It shares the frame's ownership rule: the channel send that
+	// off. It shares the frame's ownership rule: the ring push that
 	// transfers the buffer also transfers the record, so the sender must
-	// append its hop BEFORE sending and never touch the record after —
-	// the happens-before edge of the send is what makes appends safe
+	// append its hop BEFORE pushing and never touch the record after —
+	// the happens-before edge of the push is what makes appends safe
 	// without a lock.
 	Trace *trace.PacketTrace
 
@@ -77,11 +77,13 @@ func (f Frame) release() {
 
 // inFrame tags a frame with its arrival port. arrived is the wall-clock
 // ingress stamp for per-hop latency, taken only for traced frames (the
-// untraced path performs no clock reads).
+// untraced path performs no clock reads). failovers counts the DAG
+// alternates already spliced in at this hop (see Router.failover).
 type inFrame struct {
-	port    uint8
-	frame   Frame
-	arrived int64
+	port      uint8
+	failovers uint8
+	frame     Frame
+	arrived   int64
 }
 
 // Network owns the nodes and coordinates shutdown.
@@ -98,10 +100,8 @@ type Network struct {
 // one concrete type.
 type tracerBox struct{ t trace.Tracer }
 
-// networkConfig collects NewNetwork options. The zero value is the
-// scalar substrate: channel links, one frame per handoff.
+// networkConfig collects NewNetwork options.
 type networkConfig struct {
-	batched   bool
 	batchSize int
 	shards    int
 	tracer    trace.Tracer
@@ -112,19 +112,10 @@ type networkConfig struct {
 // NetworkOption configures one NewNetwork call.
 type NetworkOption func(*networkConfig)
 
-// WithBatching selects the batched substrate: links are SPSC frame
-// rings instead of channels, routers forward through the dataplane
-// batch kernel, and handoff and hook costs amortize across up to
-// DefaultBatchSize frames per operation (see batch.go). Forwarding
-// results are equivalent frame for frame — the batch-vs-scalar
-// differential suite in internal/check enforces it.
-func WithBatching() NetworkOption {
-	return func(c *networkConfig) { c.batched = true }
-}
-
-// WithBatchSize bounds how many frames one batched dequeue, decision
-// pass, or transmit flush covers. Non-positive values are ignored.
-// Implies nothing about latency: partial batches are processed
+// WithBatchSize bounds how many frames one dequeue, decision pass, or
+// transmit flush covers — the one shape parameter of the substrate.
+// WithBatchSize(1) is the one-frame handoff. Non-positive values are
+// ignored. Implies nothing about latency: partial batches are processed
 // immediately, never held back to fill.
 func WithBatchSize(n int) NetworkOption {
 	return func(c *networkConfig) {
@@ -134,7 +125,7 @@ func WithBatchSize(n int) NetworkOption {
 	}
 }
 
-// WithShards sets how many forwarding workers each batched router runs.
+// WithShards sets how many forwarding workers each router runs.
 // Input ports are assigned to workers round-robin; each worker drains
 // only its own ports (the single-consumer half of the ring contract)
 // while transmit rings accept any worker through a per-ring producer
@@ -173,12 +164,11 @@ func WithLedgerCollector(col *ledger.Collector) NetworkOption {
 	return func(c *networkConfig) { c.collector = col }
 }
 
-// DefaultBatchSize is the per-dequeue frame budget of a batched network
-// created without WithBatchSize.
+// DefaultBatchSize is the per-dequeue frame budget of a network created
+// without WithBatchSize.
 const DefaultBatchSize = 64
 
-// NewNetwork creates an empty live network. With no options it is the
-// scalar substrate; WithBatching selects the batched one.
+// NewNetwork creates an empty live network.
 func NewNetwork(opts ...NetworkOption) *Network {
 	n := &Network{cfg: networkConfig{batchSize: DefaultBatchSize, shards: 1}}
 	for _, o := range opts {
@@ -234,117 +224,51 @@ func (n *Network) Stop() {
 	n.wg.Wait()
 }
 
-// node is the common goroutine plumbing. On the scalar substrate ports
-// transmit on channels (out) and receive through pump goroutines feeding
-// inbox; on the batched substrate ports transmit on ring pipes (outP)
-// and receive by the node's own shard workers draining rx pipes — inbox
-// is unused.
+// node is the common goroutine plumbing: ports transmit on ring pipes
+// (out) and receive through the node's own shard workers, each draining
+// the receive pipes assigned to it (rx).
 type node struct {
 	name   string
-	inbox  chan inFrame
 	done   chan struct{}
 	once   sync.Once
-	out    map[uint8]chan<- Frame
-	outP   map[uint8]*pipe // batched substrate only
-	links  map[uint8]*Link // port -> fault handle, for DAG failover link health
-	rx     []*shard        // batched substrate only; len = worker count
-	nextRx int             // round-robin rx-port assignment cursor
 	mu     sync.Mutex
+	out    map[uint8]*pipe
+	links  map[uint8]*Link // port -> fault handle, for DAG failover link health
+	rx     []*shard        // len = worker count
+	nextRx int             // round-robin rx-port assignment cursor
 }
 
-func newNode(name string) *node {
+func newNode(name string, shards int) *node {
 	return &node{
 		name:  name,
-		inbox: make(chan inFrame, 64),
 		done:  make(chan struct{}),
-		out:   make(map[uint8]chan<- Frame),
+		out:   make(map[uint8]*pipe),
 		links: make(map[uint8]*Link),
+		rx:    newShards(shards),
 	}
 }
 
 func (nd *node) close() { nd.once.Do(func() { close(nd.done) }) }
 
-// send transmits a frame on a port, transferring buffer ownership to the
-// receiving node; it reports false — and the caller keeps ownership — if
-// the port is unknown or the network is shutting down. On the batched
-// substrate this is the one-frame degenerate batch — hosts and the
-// multicast fanout re-entry use it; the router's bulk path flushes whole
-// batches per pipe instead (forwardBatch).
-func (nd *node) send(port uint8, f Frame) bool {
+// txPipe returns the transmit pipe wired to a port, nil if none.
+func (nd *node) txPipe(port uint8) *pipe {
 	nd.mu.Lock()
-	if nd.outP != nil {
-		p := nd.outP[port]
-		nd.mu.Unlock()
-		if p == nil {
-			return false
-		}
-		one := [1]Frame{f}
-		return p.push(one[:], nd.done) == 1
-	}
-	ch, ok := nd.out[port]
+	p := nd.out[port]
 	nd.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case ch <- f:
-		return true
-	case <-nd.done:
-		return false
-	}
+	return p
 }
 
-// txStatus classifies a non-blocking transmit attempt for drop
-// accounting: the distinctions map onto DropQueueFull, DropBadPort,
-// and DropTxError.
-type txStatus uint8
-
-const (
-	txOK     txStatus = iota // frame transferred; ownership moved
-	txFull                   // output queue at limit; caller keeps ownership
-	txNoPort                 // port not wired; caller keeps ownership
-	txDown                   // network shutting down; caller keeps ownership
-)
-
-// trySend is the router's transmit: like send, but it never parks on a
-// full output queue — it reports txFull and the caller drops the frame
-// with DropQueueFull, as the simulation substrate's outport does. This
-// is what keeps the mesh deadlock-free: a blocking router transmit lets
-// two adjacent routers wedge each other under bidirectional saturation
-// (each parked on the other's full queue, so neither drains), a
-// circular wait no amount of queue depth removes. Hosts keep the
-// blocking send — their backpressure cannot cycle because routers
-// always drain.
-func (nd *node) trySend(port uint8, f Frame) txStatus {
-	nd.mu.Lock()
-	if nd.outP != nil {
-		p := nd.outP[port]
-		nd.mu.Unlock()
-		if p == nil {
-			return txNoPort
-		}
-		one := [1]Frame{f}
-		if p.tryPush(one[:]) == 1 {
-			return txOK
-		}
-		return txFull
+// send transmits one frame on a port, parking under backpressure, and
+// transfers buffer ownership to the receiving node; it reports false —
+// and the caller keeps ownership — if the port is unknown or either end
+// is shutting down. Hosts use it; routers never park (see flushTx).
+func (nd *node) send(port uint8, f Frame) bool {
+	p := nd.txPipe(port)
+	if p == nil {
+		return false
 	}
-	ch, ok := nd.out[port]
-	nd.mu.Unlock()
-	if !ok {
-		return txNoPort
-	}
-	select {
-	case ch <- f:
-		return txOK
-	default:
-	}
-	select {
-	case <-nd.done:
-		return txDown
-	default:
-		return txFull
-	}
+	one := [1]Frame{f}
+	return p.push(one[:], nd.done) == 1
 }
 
 // setLink records the fault handle behind a port, so the dataplane's
@@ -366,38 +290,14 @@ func (nd *node) portUp(port uint8) bool {
 	return l != nil && !l.IsDown()
 }
 
-// hasPort reports whether a port is wired, distinguishing a bad route
-// (unknown port) from a transmit failure (shutdown race) for drop
-// accounting.
-func (nd *node) hasPort(port uint8) bool {
-	nd.mu.Lock()
-	_, ok := nd.out[port]
-	if !ok && nd.outP != nil {
-		_, ok = nd.outP[port]
-	}
-	nd.mu.Unlock()
-	return ok
-}
-
-// portDepth reports the occupancy of a port's transmit queue — the
+// portDepth reports the occupancy of a port's transmit ring — the
 // livenet analogue of an output-queue depth. Called only for traced
 // frames; the untraced path never takes this lock.
 func (nd *node) portDepth(port uint8) int {
-	nd.mu.Lock()
-	if nd.outP != nil {
-		p := nd.outP[port]
-		nd.mu.Unlock()
-		if p == nil {
-			return 0
-		}
+	if p := nd.txPipe(port); p != nil {
 		return p.r.Len()
 	}
-	ch := nd.out[port]
-	nd.mu.Unlock()
-	if ch == nil {
-		return 0
-	}
-	return len(ch)
+	return 0
 }
 
 // Link is a handle on one bidirectional livenet link, used for fault
@@ -461,52 +361,11 @@ func (l *Link) drops() bool {
 	return false
 }
 
-// attach wires a port: out is the transmit channel, in the receive one.
-// A pump goroutine tags inbound frames with the port, recycling the
-// buffers of frames the link's fault injection discards.
-func (n *Network) attach(nd *node, port uint8, out chan<- Frame, in <-chan Frame, link *Link) {
-	nd.mu.Lock()
-	nd.out[port] = out
-	nd.mu.Unlock()
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for {
-			select {
-			case f, ok := <-in:
-				if !ok {
-					return
-				}
-				if link.drops() {
-					if f.Trace != nil {
-						f.Trace.Add(trace.HopEvent{
-							Node: nd.name, InPort: port, Action: trace.ActionLost,
-							At: clock.Wall.NowNanos(),
-						})
-						f.Trace.Done()
-					}
-					f.release()
-					continue
-				}
-				var arrived int64
-				if f.Trace != nil {
-					arrived = clock.Wall.NowNanos()
-				}
-				select {
-				case nd.inbox <- inFrame{port: port, frame: f, arrived: arrived}:
-				case <-nd.done:
-					return
-				}
-			case <-nd.done:
-				return
-			}
-		}
-	}()
-}
-
 // DefaultLinkDepth is the per-direction queue depth, in frames, of a
-// link created without WithDepth.
-const DefaultLinkDepth = 16
+// link created without WithDepth: room for one full default batch in
+// flight, so a burst flushes without the producer parking between
+// sub-pushes.
+const DefaultLinkDepth = DefaultBatchSize
 
 // linkConfig collects Connect options.
 type linkConfig struct {
@@ -540,38 +399,30 @@ func WithDown() LinkOption {
 	return func(c *linkConfig) { c.down = true }
 }
 
-// Connect joins two nodes with a bidirectional link and returns the
-// link's fault-injection handle. Options configure queue depth
-// (DefaultLinkDepth otherwise) and the initial fault state.
+// Connect joins two nodes with a bidirectional link — one ring pipe per
+// direction — and returns the link's fault-injection handle. Options
+// configure queue depth (DefaultLinkDepth otherwise) and the initial
+// fault state.
 func (n *Network) Connect(a Attachable, portA uint8, b Attachable, portB uint8, opts ...LinkOption) *Link {
-	cfg := linkConfig{depth: cfg0Depth(n)}
+	cfg := linkConfig{depth: DefaultLinkDepth}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	l := &Link{name: a.base().name + "<->" + b.base().name, netw: n}
+	na, nb := a.base(), b.base()
+	l := &Link{name: na.name + "<->" + nb.name, netw: n}
 	l.SetDown(cfg.down)
 	l.SetLossRatio(cfg.loss)
-	a.base().setLink(portA, l)
-	b.base().setLink(portB, l)
-	if n.cfg.batched {
-		n.connectBatched(a.base(), portA, b.base(), portB, cfg.depth, l)
-		return l
-	}
-	ab := make(chan Frame, cfg.depth)
-	ba := make(chan Frame, cfg.depth)
-	n.attach(a.base(), portA, ab, ba, l)
-	n.attach(b.base(), portB, ba, ab, l)
+	na.setLink(portA, l)
+	nb.setLink(portB, l)
+	// Receive ends are registered before transmit ends, so no frame can
+	// arrive at an unregistered consumer.
+	ab := newPipe(cfg.depth, portB, l, nb) // a -> b, arrives on b's portB
+	ba := newPipe(cfg.depth, portA, l, na) // b -> a, arrives on a's portA
+	nb.addRx(ab)
+	na.addRx(ba)
+	na.addTx(portA, ab)
+	nb.addTx(portB, ba)
 	return l
-}
-
-// cfg0Depth picks the default link depth: the batched substrate wants
-// room for at least one full batch in flight per direction, so bursts
-// flush without the producer parking between sub-pushes.
-func cfg0Depth(n *Network) int {
-	if n.cfg.batched && n.cfg.batchSize > DefaultLinkDepth {
-		return n.cfg.batchSize
-	}
-	return DefaultLinkDepth
 }
 
 // Attachable is implemented by livenet hosts and routers.
@@ -588,12 +439,11 @@ type counters struct {
 
 // Router is a goroutine Sirpent switch. Its per-hop work — decode,
 // token check, three-way action, trailer mirror — is the shared
-// dataplane pipeline; this type contributes the goroutine, the channel
-// I/O, and the pooled-buffer ownership discipline. The token state is
-// dataplane.TokenState behind an atomic pointer: immutable once
-// published, so the forwarding goroutine reads a consistent
-// cache/require pair with one load, keeping the tokenless fast path
-// allocation- and lock-free.
+// dataplane pipeline; this type contributes the shard workers, the ring
+// I/O, and the pooled-buffer ownership discipline (batch.go). The token
+// state is dataplane.TokenState behind an atomic pointer: immutable once
+// published, so a worker reads a consistent cache/require pair with one
+// load, keeping the tokenless fast path allocation- and lock-free.
 type Router struct {
 	*node
 	counters counters
@@ -604,7 +454,7 @@ type Router struct {
 }
 
 // SetLocalHandler receives encoded packets whose current segment is
-// port 0 (the router's own stack). It runs on the router goroutine and
+// port 0 (the router's own stack). It runs on a router worker and
 // takes ownership of the buffer (which leaves the pool).
 func (r *Router) SetLocalHandler(fn func(encoded []byte)) { r.local = fn }
 
@@ -646,19 +496,16 @@ func (r *Router) currentFlight() *ledger.FlightRecorder {
 }
 
 // newRouter builds a router and its dataplane pipeline without starting
-// the forwarding goroutine (benchmarks drive forward directly).
+// its workers (benchmarks drive forwardBatch directly).
 func (n *Network) newRouter(name string) *Router {
-	r := &Router{node: newNode(name), netw: n}
+	r := &Router{node: newNode(name, n.cfg.shards), netw: n}
 	r.plane = dataplane.Pipeline{
 		Node:  name,
 		Clock: clock.Wall,
 		// Livenet realizes token.Block: uncached tokens verify
-		// synchronously on the forwarding goroutine (see forward).
+		// synchronously on the forwarding worker (see forwardBatch).
 		Mode: token.Block,
 		Hooks: dataplane.Hooks{
-			CountDrop:             func(reason stats.DropReason) { r.counters.drops[reason].Add(1) },
-			CountLocal:            func() { r.counters.local.Add(1) },
-			CountTokenAuthorized:  func() { r.counters.tokenAuthorized.Add(1) },
 			CountDropN:            func(reason stats.DropReason, k uint64) { r.counters.drops[reason].Add(k) },
 			CountLocalN:           func(k uint64) { r.counters.local.Add(k) },
 			CountTokenAuthorizedN: func(k uint64) { r.counters.tokenAuthorized.Add(k) },
@@ -667,14 +514,11 @@ func (n *Network) newRouter(name string) *Router {
 			PortUp:                r.node.portUp,
 		},
 	}
-	if n.cfg.batched {
-		r.node.rx = newShards(n.cfg.shards)
-	}
 	return r
 }
 
-// NewRouter creates and starts a router: one forwarding goroutine on the
-// scalar substrate, one worker per shard on the batched one.
+// NewRouter creates and starts a router: one forwarding worker per
+// shard.
 func (n *Network) NewRouter(name string) *Router {
 	r := n.newRouter(name)
 	n.nodes = append(n.nodes, r.node)
@@ -689,22 +533,13 @@ func (n *Network) NewRouter(name string) *Router {
 			return nil
 		})
 	}
-	if n.cfg.batched {
-		for _, sh := range r.node.rx {
-			sh := sh
-			n.wg.Add(1)
-			go func() {
-				defer n.wg.Done()
-				r.runShard(sh)
-			}()
-		}
-		return r
+	for _, sh := range r.node.rx {
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			r.runShard(sh)
+		}()
 	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		r.run()
-	}()
 	return r
 }
 
@@ -721,193 +556,6 @@ func (r *Router) Stats() stats.Counters {
 		c.Drops[i] = r.counters.drops[i].Load()
 	}
 	return c
-}
-
-// drop accounts one dropped frame through the dataplane's sinks
-// (counter, flight event, trace terminal hop) and recycles its buffer.
-// The trace work is behind the pipeline's nil checks: untraced drops
-// cost one pointer test.
-func (r *Router) drop(reason stats.DropReason, inf inFrame) {
-	r.dropAcct(reason, inf, 0)
-}
-
-// dropAcct is drop with the refused account attached to the flight
-// event, for token denials against a verified token.
-func (r *Router) dropAcct(reason stats.DropReason, inf inFrame, account uint32) {
-	r.plane.Drop(reason, inf.port, account, inf.frame.Trace, inf.arrived)
-	inf.frame.release()
-}
-
-func (r *Router) run() {
-	for {
-		select {
-		case inf := <-r.inbox:
-			r.forward(inf)
-		case <-r.done:
-			return
-		}
-	}
-}
-
-// forward runs one frame through the shared dataplane pipeline and
-// performs the §6.2 software-router byte surgery in place: the leading
-// segment's bytes become a dead region at the front of the buffer (the
-// decoded segment's fields alias it), the mirrored return segment is
-// appended over the trailer descriptor at the tail, and the frame moves
-// on in the same buffer. With pool headroom the hop allocates nothing.
-func (r *Router) forward(inf inFrame) {
-	r.forwardDepth(inf, 0)
-}
-
-// forwardDepth is forward's body, re-entered (depth+1) after a failover
-// spliced a DAG alternate into the buffer; the cap stops a crafted
-// alternate whose head is itself a dead-primary DAG segment from
-// cycling forever.
-func (r *Router) forwardDepth(inf inFrame, depth int) {
-	seg, rest, err := dataplane.DecodeHop(inf.frame.Pkt)
-	if err != nil {
-		r.drop(stats.DropNotSirpent, inf)
-		return
-	}
-	// The charge size matches the simulator's FrameSize: the full
-	// pre-strip packet plus the arrival Ethernet header, so per-account
-	// byte totals agree across substrates.
-	in := dataplane.HopInput{
-		InPort:      inf.port,
-		Seg:         &seg,
-		ChargeBytes: uint64(len(inf.frame.Pkt)),
-	}
-	if inf.frame.Hdr != nil {
-		in.ChargeBytes += ethernet.HeaderLen
-	}
-	// Token authorization (§2.2) runs inside Decide, before the
-	// multicast fanout and local delivery as on the simulator. The
-	// tokenless fast path pays one atomic load.
-	ts := r.tok.Load()
-	v := r.plane.Decide(ts, &in)
-	if v.Action == dataplane.ActionAwaitToken {
-		// Livenet realizes the Block mode: the uncached token is
-		// verified synchronously — the HMAC computation is the
-		// verification latency the packet waits out.
-		v = r.plane.InstallToken(ts, &in)
-	}
-	switch v.Action {
-	case dataplane.ActionDrop:
-		r.dropAcct(v.Reason, inf, v.Account)
-		return
-	case dataplane.ActionTree:
-		r.fanoutTree(inf, &seg, rest)
-		return
-	case dataplane.ActionFailover:
-		r.failover(inf, &seg, v, depth)
-		return
-	}
-	// Mirror the stripped segment onto the trailer (§6.2 byte surgery),
-	// shared with the batched path so both substrates' surgery is
-	// identical by construction.
-	f, ok := r.mirrorHop(&inf, &seg, rest, ts)
-	if !ok {
-		r.drop(stats.DropNotSirpent, inf)
-		return
-	}
-	if v.Action == dataplane.ActionLocal {
-		r.plane.Local(inf.port, f.Trace, inf.arrived)
-		if r.local != nil {
-			r.local(f.Pkt)
-		} else {
-			f.release()
-		}
-		return
-	}
-	// The forward hop is appended BEFORE the send: the channel send
-	// transfers ownership of the record with the buffer, and touching it
-	// after a successful send would race the next hop. A failed send
-	// returns ownership, and drop then appends the terminal hop after
-	// this one — the record reads "attempted forward, then dropped".
-	r.plane.TraceForward(f.Trace, inf.port, v.OutPort, inf.arrived)
-	switch r.trySend(v.OutPort, f) {
-	case txOK:
-		r.counters.forwarded.Add(1)
-	case txFull:
-		r.drop(stats.DropQueueFull, inFrame{port: inf.port, frame: f, arrived: inf.arrived})
-	case txNoPort:
-		r.drop(stats.DropBadPort, inFrame{port: inf.port, frame: f, arrived: inf.arrived})
-	case txDown:
-		r.drop(stats.DropTxError, inFrame{port: inf.port, frame: f, arrived: inf.arrived})
-	}
-}
-
-// failover realizes an ActionFailover verdict on the wire substrate:
-// record the diversion, splice the chosen alternate over the remaining
-// forward route in the frame's own buffer (SpliceAltRoute — in place
-// unless the branch header outgrows the buffer's capacity), and
-// re-enter the forward path on the branch head, which carries its own
-// token. The no-failover path never reaches here, so its 0 allocs/hop
-// contract is untouched.
-func (r *Router) failover(inf inFrame, seg *viper.Segment, v dataplane.Verdict, depth int) {
-	if depth >= dataplane.MaxFailoverDepth {
-		r.drop(stats.DropLinkDown, inf)
-		return
-	}
-	r.plane.Failover(inf.port, seg.Port, v.OutPort, v.AltRank, inf.frame.Trace, inf.arrived)
-	old := inf.frame.Pkt
-	out, err := dataplane.SpliceAltRoute(old, v.AltRoute)
-	if err != nil {
-		r.drop(stats.DropNotSirpent, inf)
-		return
-	}
-	f := inf.frame
-	f.Pkt = out
-	if len(old) > 0 && len(out) > 0 && &out[0] != &old[0] {
-		// The splice outgrew the buffer and reallocated: out starts a
-		// fresh array (its own recycling target); the old buffer, still
-		// aliased by the arrival header, is left to the collector.
-		f.buf = out[:0]
-	}
-	r.forwardDepth(inFrame{port: inf.port, frame: f, arrived: inf.arrived}, depth+1)
-}
-
-// fanoutTree handles tree-structured multicast (§2): fan one copy of the
-// packet down each branch by splicing the branch's segments in front of
-// the remaining bytes. Each branch gets its own pooled buffer (and its
-// own header copy — forwarding swaps headers in place, so branches must
-// not share one); the original buffer is recycled after the fanout. A
-// traced packet's record ends here: branches run on concurrent paths
-// and must not share one record, so they continue untraced.
-func (r *Router) fanoutTree(inf inFrame, seg *viper.Segment, rest []byte) {
-	branches, err := viper.DecodeTree(seg.PortInfo)
-	if err != nil {
-		r.drop(stats.DropBadPort, inf)
-		return
-	}
-	r.plane.CloseFanout(inf.frame.Trace, inf.port, seg.Port, inf.arrived)
-	inf.frame.Trace = nil
-	for _, br := range branches {
-		headLen := 0
-		for i := range br {
-			headLen += br[i].WireLen()
-		}
-		buf := pool.Get(headLen + len(rest) + frameHeadroom(len(br), headLen))
-		full := buf
-		ok := true
-		for i := range br {
-			if buf, err = viper.AppendSegment(buf, &br[i]); err != nil {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			r.drop(stats.DropBadPort, inFrame{port: inf.port, frame: Frame{Pkt: buf, buf: full}})
-			continue
-		}
-		buf = append(buf, rest...)
-		var hdr []byte
-		if inf.frame.Hdr != nil {
-			hdr = append([]byte(nil), inf.frame.Hdr...)
-		}
-		r.forward(inFrame{port: inf.port, frame: Frame{Hdr: hdr, Pkt: buf, buf: full}})
-	}
-	inf.frame.release()
 }
 
 // frameHeadroom estimates the spare capacity a frame needs so that every
@@ -938,25 +586,16 @@ type Host struct {
 	raw      atomic.Pointer[func(pkt []byte, ctx trace.Context)] // pre-decode tap, see SetRawHandler/SetRawTap
 }
 
-// NewHost creates and starts a host goroutine. Hosts are single-sharded
-// on the batched substrate: deliveries to one host stay ordered.
+// NewHost creates and starts a host goroutine. Hosts are single-sharded:
+// deliveries to one host stay ordered.
 func (n *Network) NewHost(name string) *Host {
-	h := &Host{node: newNode(name), netw: n, handlers: make(map[uint8]func(Delivery))}
+	h := &Host{node: newNode(name, 1), netw: n, handlers: make(map[uint8]func(Delivery))}
 	n.nodes = append(n.nodes, h.node)
-	if n.cfg.batched {
-		h.node.rx = newShards(1)
-		sh := h.node.rx[0]
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			h.runShard(sh)
-		}()
-		return h
-	}
+	sh := h.node.rx[0]
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		h.run()
+		h.runShard(sh)
 	}()
 	return h
 }
@@ -1007,27 +646,34 @@ func (h *Host) SendFrom(endpoint uint8, route []viper.Segment, data []byte) erro
 		// place, and the caller's route must not be scribbled on.
 		f.Hdr = append([]byte(nil), own.PortInfo...)
 	}
-	if pt := trace.Start(h.netw.currentTracer(), data); pt != nil {
-		// Origin hop appended before the send — ownership of the record
-		// transfers with the frame (see Frame.Trace).
+	return h.inject(own.Port, f, trace.Start(h.netw.currentTracer(), data))
+}
+
+// inject transmits a freshly built frame on one of the host's
+// interfaces, parking under backpressure. A traced frame gets its origin
+// hop first — appended before the push, since ownership of the record
+// transfers with the frame (see Frame.Trace). On failure the record
+// closes with a transmit-error drop and the buffer is recycled.
+func (h *Host) inject(port uint8, f Frame, pt *trace.PacketTrace) error {
+	if pt != nil {
 		pt.Add(trace.HopEvent{
-			Node: h.name, OutPort: own.Port, Action: trace.ActionForward,
+			Node: h.name, OutPort: port, Action: trace.ActionForward,
 			At: clock.Wall.NowNanos(),
 		})
 		f.Trace = pt
 	}
-	if !h.send(own.Port, f) {
-		if f.Trace != nil {
-			f.Trace.Add(trace.HopEvent{
-				Node: h.name, Action: trace.ActionDrop, Reason: stats.DropTxError,
-				At: clock.Wall.NowNanos(),
-			})
-			f.Trace.Done()
-		}
-		f.release()
-		return fmt.Errorf("livenet: no interface %d on %s", own.Port, h.name)
+	if h.send(port, f) {
+		return nil
 	}
-	return nil
+	if f.Trace != nil {
+		f.Trace.Add(trace.HopEvent{
+			Node: h.name, Action: trace.ActionDrop, Reason: stats.DropTxError,
+			At: clock.Wall.NowNanos(),
+		})
+		f.Trace.Done()
+	}
+	f.release()
+	return fmt.Errorf("livenet: no interface %d on %s", port, h.name)
 }
 
 // SendRaw transmits an already-encoded VIPER packet on one of the
@@ -1052,39 +698,11 @@ func (h *Host) SendRaw(ifPort uint8, pkt []byte) error {
 func (h *Host) SendRawTraced(ifPort uint8, pkt []byte, ctx trace.Context) error {
 	buf := pool.Get(len(pkt) + frameHeadroom(4, len(pkt)))
 	buf = append(buf, pkt...)
-	f := Frame{Pkt: buf, buf: buf[:0]}
+	var pt *trace.PacketTrace
 	if ctx.Valid() {
-		if pt := trace.Resume(h.netw.currentTracer(), ctx); pt != nil {
-			pt.Add(trace.HopEvent{
-				Node: h.name, OutPort: ifPort, Action: trace.ActionForward,
-				At: clock.Wall.NowNanos(),
-			})
-			f.Trace = pt
-		}
+		pt = trace.Resume(h.netw.currentTracer(), ctx)
 	}
-	if !h.send(ifPort, f) {
-		if f.Trace != nil {
-			f.Trace.Add(trace.HopEvent{
-				Node: h.name, Action: trace.ActionDrop, Reason: stats.DropTxError,
-				At: clock.Wall.NowNanos(),
-			})
-			f.Trace.Done()
-		}
-		f.release()
-		return fmt.Errorf("livenet: no interface %d on %s", ifPort, h.name)
-	}
-	return nil
-}
-
-func (h *Host) run() {
-	for {
-		select {
-		case inf := <-h.inbox:
-			h.receive(inf)
-		case <-h.done:
-			return
-		}
-	}
+	return h.inject(ifPort, Frame{Pkt: buf, buf: buf[:0]}, pt)
 }
 
 // closeReceive ends a traced frame's record at this host; action is

@@ -1,8 +1,7 @@
 // Package ring provides the single-producer single-consumer ring buffer
-// behind the livenet batched forwarding fast path. The scalar substrate
-// hands frames across goroutines one channel send at a time; at ~0.5M
-// pkts/sec the per-frame handoff — not allocation, already 0/hop — is
-// the dominant cost (ROADMAP item 1, BENCH_livenet.json). The ring
+// behind every livenet link. Handing frames across goroutines one
+// channel send at a time made the per-frame handoff — not allocation,
+// already 0/hop — the dominant cost at ~0.5M pkts/sec. The ring
 // amortizes it: a producer publishes a batch of N frames with one
 // release-store of the tail index, and a consumer claims a batch with
 // one acquire-load and one store of the head, so the synchronization

@@ -42,11 +42,21 @@
 // and re-injects with the context so the trace continues in the next
 // process. Untraced traffic is framed exactly as before — the traced
 // path costs nothing when tracing is off.
+//
+// Socket I/O is batched on Linux (amd64, arm64): each tunnel's writer
+// drains its egress queue into one sendmmsg call, and the bridge's
+// reader fills a batch of datagrams from one recvmmsg call, both through
+// (*net.UDPConn).SyscallConn and the standard library alone. Elsewhere
+// the same loops fall back to one WriteToUDP or ReadFromUDP per
+// datagram. Either way counting and fault semantics stay per datagram:
+// the loss lottery, Encapsulated, SendErrors, peer-loss detection, and
+// traced wire spans see every datagram individually.
 package udpnet
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -56,6 +66,7 @@ import (
 
 	"repro/internal/ledger"
 	"repro/internal/livenet"
+	"repro/internal/pool"
 	"repro/internal/trace"
 )
 
@@ -86,10 +97,26 @@ const (
 
 var magic = [4]byte{'S', 'I', 'R', 'P'}
 
-// DefaultTunnelDepth is the egress queue depth, in frames, of a
-// Tunnel created without WithDepth — the socket-side analogue of
+// DefaultTunnelDepth is the queue depth, in frames, of a Tunnel created
+// without WithDepth — both its egress queue and the in-process link to
+// the bridged router port. The socket-side analogue of
 // livenet.DefaultLinkDepth.
 const DefaultTunnelDepth = 64
+
+// sendBatchMax bounds how many queued datagrams one writer pass drains
+// into a single socket call.
+const sendBatchMax = 64
+
+// sendBatch writes a prefix of dgs to one peer and returns its length.
+// When that is short of len(dgs) and err is non-nil, err is dgs[n]'s
+// failure; a short count without an error means the rest is still to
+// be sent.
+type sendBatch func(dgs [][]byte, to *net.UDPAddr) (n int, err error)
+
+// recvBatch blocks until at least one datagram arrives, then fills a
+// prefix of the receive slots it was built over, recording each
+// datagram's length in lens, and returns how many it filled.
+type recvBatch func(lens []int) (n int, err error)
 
 // PeerLossThreshold is the number of consecutive socket write failures
 // after which the tunnel declares its peer lost and marks the inner
@@ -194,15 +221,21 @@ func (b *Bridge) Close() error {
 	return nil
 }
 
-// readLoop is the demux pump: one goroutine per bridge reads
-// datagrams and hands payloads to the owning tunnel. The buffer is
-// reused across reads — Tunnel.ingress must copy before returning,
-// which Host.SendRaw's pooled copy already does.
+// readLoop is the demux pump: one goroutine per bridge reads batches of
+// datagrams (recvSlots per call) and hands each payload to the owning
+// tunnel. The slots are reused across reads — Tunnel.ingress must copy
+// before returning, which Host.SendRaw's pooled copy already does.
+// Slots are MaxDatagram bytes, so no datagram is ever truncated.
 func (b *Bridge) readLoop() {
 	defer b.wg.Done()
-	buf := make([]byte, MaxDatagram)
+	bufs := make([][]byte, recvSlots)
+	for i := range bufs {
+		bufs[i] = make([]byte, MaxDatagram)
+	}
+	lens := make([]int, recvSlots)
+	recv := newRecvBatch(b.conn, bufs)
 	for {
-		n, _, err := b.conn.ReadFromUDP(buf)
+		n, err := recv(lens)
 		if err != nil {
 			select {
 			case <-b.closed:
@@ -213,29 +246,37 @@ func (b *Bridge) readLoop() {
 			// surfacing on connected reads) must not kill the pump.
 			continue
 		}
-		dg := buf[:n]
-		if n < HeaderLen || [4]byte(dg[0:4]) != magic || dg[4] != Version {
-			b.decodeErrors.Add(1)
-			b.flight.Record(ledger.Event{
-				At: time.Now().UnixNano(), Node: b.node,
-				Kind: ledger.KindDecodeError, Reason: fmt.Sprintf("bad frame header (%d bytes)", n),
-			})
-			continue
+		for i := 0; i < n; i++ {
+			b.demux(bufs[i][:lens[i]])
 		}
-		linkID := binary.BigEndian.Uint16(dg[6:8])
-		b.mu.RLock()
-		t := b.tunnels[linkID]
-		b.mu.RUnlock()
-		if t == nil {
-			b.decodeErrors.Add(1)
-			b.flight.Record(ledger.Event{
-				At: time.Now().UnixNano(), Node: b.node,
-				Kind: ledger.KindUnknownLink, Reason: fmt.Sprintf("link %d not attached", linkID),
-			})
-			continue
-		}
-		t.ingress(dg[5], dg[HeaderLen:])
 	}
+}
+
+// demux checks one datagram's frame header and hands its payload to the
+// tunnel terminating its linkID. A datagram that fails the check is
+// counted and recorded, and the rest of its batch carries on.
+func (b *Bridge) demux(dg []byte) {
+	if len(dg) < HeaderLen || [4]byte(dg[0:4]) != magic || dg[4] != Version {
+		b.decodeErrors.Add(1)
+		b.flight.Record(ledger.Event{
+			At: time.Now().UnixNano(), Node: b.node,
+			Kind: ledger.KindDecodeError, Reason: fmt.Sprintf("bad frame header (%d bytes)", len(dg)),
+		})
+		return
+	}
+	linkID := binary.BigEndian.Uint16(dg[6:8])
+	b.mu.RLock()
+	t := b.tunnels[linkID]
+	b.mu.RUnlock()
+	if t == nil {
+		b.decodeErrors.Add(1)
+		b.flight.Record(ledger.Event{
+			At: time.Now().UnixNano(), Node: b.node,
+			Kind: ledger.KindUnknownLink, Reason: fmt.Sprintf("link %d not attached", linkID),
+		})
+		return
+	}
+	t.ingress(dg[5], dg[HeaderLen:])
 }
 
 // tunnelConfig collects Attach options.
@@ -248,8 +289,9 @@ type tunnelConfig struct {
 // TunnelOption configures one Attach call.
 type TunnelOption func(*tunnelConfig)
 
-// WithDepth sets the tunnel's egress queue depth in frames.
-// Non-positive values are ignored.
+// WithDepth sets the tunnel's queue depth in frames: its egress queue
+// and the in-process link to the bridged router port. Non-positive
+// values are ignored.
 func WithDepth(n int) TunnelOption {
 	return func(c *tunnelConfig) {
 		if n > 0 {
@@ -292,7 +334,9 @@ type Tunnel struct {
 	rngMu      sync.Mutex
 	rng        *rand.Rand
 
-	out chan []byte // framed datagrams awaiting the writer
+	out  chan []byte // framed datagrams awaiting the writer
+	send sendBatch   // the writer's socket call
+	live [][]byte    // the writer's scratch: one batch's datagrams still to send
 
 	encapsulated atomic.Uint64
 	decapsulated atomic.Uint64
@@ -320,6 +364,7 @@ func (b *Bridge) Attach(netw *livenet.Network, at livenet.Attachable, port uint8
 		wireStage: fmt.Sprintf("wire:%d", linkID),
 		rng:       rand.New(rand.NewSource(cfg.lossSeed)),
 		out:       make(chan []byte, cfg.depth),
+		send:      newSendBatch(b.conn),
 	}
 	if cfg.remote != nil {
 		t.remote.Store(cfg.remote)
@@ -334,7 +379,7 @@ func (b *Bridge) Attach(netw *livenet.Network, at livenet.Attachable, port uint8
 	// Wire the gateway completely before publishing the tunnel: the
 	// moment it is in b.tunnels, the read loop may hand it a datagram.
 	t.gw = netw.NewHost(fmt.Sprintf("udpgw-%d", linkID))
-	t.inner = netw.Connect(at, port, t.gw, t.gwPort)
+	t.inner = netw.Connect(at, port, t.gw, t.gwPort, livenet.WithDepth(cfg.depth))
 	t.gw.SetRawTap(t.egress)
 
 	b.mu.Lock()
@@ -478,8 +523,8 @@ func (t *Tunnel) drops() bool {
 // egress is the gateway host's raw tap: every frame the router
 // transmits onto the bridged port lands here as encoded VIPER bytes
 // valid only for the duration of the call. The frame is framed into a
-// fresh datagram and queued for the writer; a full queue drops, as an
-// overrun link queue would.
+// pooled datagram buffer and queued for the writer; a full queue drops,
+// as an overrun link queue would.
 //
 // A frame whose in-process record carried a trace context crosses as
 // TypeTraced with one less hop budget and the send stamp taken here —
@@ -491,13 +536,15 @@ func (t *Tunnel) drops() bool {
 func (t *Tunnel) egress(pkt []byte, ctx trace.Context) {
 	var dg []byte
 	if ctx.CanHop() {
-		dg = make([]byte, HeaderLen+tracedPrefixLen+len(pkt))
+		n := HeaderLen + tracedPrefixLen + len(pkt)
+		dg = pool.Get(n)[:n]
 		dg[5] = TypeTraced
 		ctx.Next().Encode(dg[HeaderLen:])
 		binary.BigEndian.PutUint64(dg[HeaderLen+trace.ContextWireLen:], uint64(time.Now().UnixNano()))
 		copy(dg[HeaderLen+tracedPrefixLen:], pkt)
 	} else {
-		dg = make([]byte, HeaderLen+len(pkt))
+		n := HeaderLen + len(pkt)
+		dg = pool.Get(n)[:n]
 		dg[5] = TypeData
 		copy(dg[HeaderLen:], pkt)
 	}
@@ -508,48 +555,94 @@ func (t *Tunnel) egress(pkt []byte, ctx trace.Context) {
 	case t.out <- dg:
 	default:
 		t.dropped.Add(1)
+		pool.Put(dg)
 	}
 }
 
-// writeLoop drains the egress queue onto the socket. Fault lottery
-// and remote resolution happen here, not in egress, so a flapping
-// tunnel drops queued frames too — matching a cut cable, which loses
-// what is in flight.
+// writeLoop drains the egress queue onto the socket: it waits for one
+// datagram, takes whatever else is already queued (up to sendBatchMax),
+// and writes the batch with one socket call where the platform allows.
 func (t *Tunnel) writeLoop() {
 	defer t.bridge.wg.Done()
+	batch := make([][]byte, 0, sendBatchMax)
 	for {
 		select {
 		case dg := <-t.out:
-			if t.drops() {
-				continue
-			}
-			remote := t.remote.Load()
-			if remote == nil {
-				t.sendErrors.Add(1)
-				t.bridge.flight.Record(ledger.Event{
-					At: time.Now().UnixNano(), Node: t.bridge.node,
-					Kind: ledger.KindSendError, Reason: fmt.Sprintf("link %d: no remote address", t.linkID),
-				})
-				continue
-			}
-			if _, err := t.bridge.conn.WriteToUDP(dg, remote); err != nil {
-				t.sendErrors.Add(1)
-				t.noteSendError()
-				t.bridge.flight.Record(ledger.Event{
-					At: time.Now().UnixNano(), Node: t.bridge.node,
-					Kind: ledger.KindSendError, Reason: fmt.Sprintf("link %d: %v", t.linkID, err),
-				})
-				continue
-			}
-			t.noteSendOK()
-			t.encapsulated.Add(1)
-			if dg[5] == TypeTraced {
-				t.tracedSent.Add(1)
-			}
+			batch = append(batch, dg)
 		case <-t.bridge.closed:
 			return
 		}
+	fill:
+		for len(batch) < cap(batch) {
+			select {
+			case dg := <-t.out:
+				batch = append(batch, dg)
+			default:
+				break fill
+			}
+		}
+		t.writeBatch(batch)
+		for i, dg := range batch {
+			pool.Put(dg)
+			batch[i] = nil
+		}
+		batch = batch[:0]
 	}
+}
+
+// writeBatch puts one drained batch on the wire, accounting every
+// datagram as the one-call-per-datagram path would. Fault lottery and
+// remote resolution happen here, not in egress, so a flapping tunnel
+// drops queued frames too — matching a cut cable, which loses what is in
+// flight. A socket failure is charged to the one datagram it names; the
+// datagrams after it are still attempted, so a dead socket costs one
+// SendError per unsent datagram and trips peer loss after
+// PeerLossThreshold of them. The datagrams themselves stay in batch for
+// the caller to recycle.
+func (t *Tunnel) writeBatch(batch [][]byte) {
+	remote := t.remote.Load()
+	live := t.live[:0]
+	for _, dg := range batch {
+		if t.drops() {
+			continue
+		}
+		if remote == nil {
+			t.sendErrors.Add(1)
+			t.bridge.flight.Record(ledger.Event{
+				At: time.Now().UnixNano(), Node: t.bridge.node,
+				Kind: ledger.KindSendError, Reason: fmt.Sprintf("link %d: no remote address", t.linkID),
+			})
+			continue
+		}
+		live = append(live, dg)
+	}
+	t.live = live
+	for len(live) > 0 {
+		n, err := t.send(live, remote)
+		if n > 0 {
+			t.noteSendOK()
+			t.encapsulated.Add(uint64(n))
+			for _, dg := range live[:n] {
+				if dg[5] == TypeTraced {
+					t.tracedSent.Add(1)
+				}
+			}
+			live = live[n:]
+		}
+		if err == nil && n == 0 {
+			err = io.ErrShortWrite
+		}
+		if err != nil && len(live) > 0 {
+			t.sendErrors.Add(1)
+			t.noteSendError()
+			t.bridge.flight.Record(ledger.Event{
+				At: time.Now().UnixNano(), Node: t.bridge.node,
+				Kind: ledger.KindSendError, Reason: fmt.Sprintf("link %d: %v", t.linkID, err),
+			})
+			live = live[1:]
+		}
+	}
+	clear(t.live)
 }
 
 // ingress delivers one unframed payload into the livenet substrate.
@@ -613,5 +706,31 @@ func (t *Tunnel) ingress(typ byte, payload []byte) {
 			Trace: ctx.ID, Stage: t.wireStage, Node: t.bridge.node,
 			Start: sent, End: arrived,
 		})
+	}
+}
+
+// perDatagramSend is the portable writer: one WriteToUDP per datagram,
+// stopping at the first failure.
+func perDatagramSend(conn *net.UDPConn) sendBatch {
+	return func(dgs [][]byte, to *net.UDPAddr) (int, error) {
+		for i, dg := range dgs {
+			if _, err := conn.WriteToUDP(dg, to); err != nil {
+				return i, err
+			}
+		}
+		return len(dgs), nil
+	}
+}
+
+// perDatagramRecv is the portable reader: one ReadFromUDP into the first
+// slot per call.
+func perDatagramRecv(conn *net.UDPConn, bufs [][]byte) recvBatch {
+	return func(lens []int) (int, error) {
+		n, _, err := conn.ReadFromUDP(bufs[0])
+		if err != nil {
+			return 0, err
+		}
+		lens[0] = n
+		return 1, nil
 	}
 }

@@ -116,6 +116,60 @@ func TestTunnelRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTunnelBurstAtDepth sends a burst of `depth` frames into a tunnel
+// built WithDepth(depth) — more than one sendmmsg batch and many
+// recvmmsg batches — and checks every frame crosses: no queue-full drop
+// at the bridged router (so its link into the tunnel has the tunnel's
+// depth, not livenet's default), and exact Encapsulated and
+// Decapsulated counts on the two ends.
+func TestTunnelBurstAtDepth(t *testing.T) {
+	const depth = 128
+	netA := livenet.NewNetwork()
+	t.Cleanup(netA.Stop)
+	netB := livenet.NewNetwork()
+	t.Cleanup(netB.Stop)
+	bA, err := udpnet.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bA.Close() })
+	bB, err := udpnet.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bB.Close() })
+
+	rA := netA.NewRouter("rA")
+	src := netA.NewHost("srcH")
+	netA.Connect(src, 1, rA, 1, livenet.WithDepth(depth))
+	rB := netB.NewRouter("rB")
+	dst := netB.NewHost("dstH")
+	netB.Connect(rB, 3, dst, 1, livenet.WithDepth(depth))
+	ta, err := bA.Attach(netA, rA, 2, 7, udpnet.WithDepth(depth), udpnet.WithRemote(bB.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := bB.Attach(netB, rB, 2, 7, udpnet.WithDepth(depth), udpnet.WithRemote(bA.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var delivered atomic.Uint64
+	dst.Handle(0, func(livenet.Delivery) { delivered.Add(1) })
+	for i := 0; i < depth; i++ {
+		if err := src.Send(crossRoute(), []byte(fmt.Sprintf("burst-%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the whole burst", func() bool { return delivered.Load() == depth })
+	if s := rA.Stats(); s.TotalDrops() != 0 {
+		t.Fatalf("bridged router dropped frames: %v", s)
+	}
+	if sa, sb := ta.Stats(), tb.Stats(); sa.Encapsulated != depth || sb.Decapsulated != depth || sa.Dropped != 0 {
+		t.Fatalf("tunnel stats A=%+v B=%+v, want %d encapsulated and decapsulated, none dropped", sa, sb, depth)
+	}
+}
+
 // TestTunnelFaultHandles checks the Link-parity fault vocabulary: a
 // down tunnel discards and counts, restoring it heals, and full loss
 // on one side starves delivery while Dropped attributes every frame.

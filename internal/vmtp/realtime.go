@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/pool"
 	"repro/internal/viper"
 )
 
@@ -41,8 +42,10 @@ import (
 // (a livenet host) deadlock-free no matter how congested the endpoint.
 
 // Carrier is the packet path under a real-time endpoint: Send
-// transmits one encoded VMTP packet along a source route. livenet's
-// Host.Send satisfies it via CarrierFunc.
+// transmits one encoded VMTP packet along a source route. pkt is valid
+// only for the duration of the call — the endpoint recycles it — so a
+// carrier that keeps the bytes copies them. livenet's Host.SendFrom
+// satisfies it via CarrierFunc.
 type Carrier interface {
 	Send(route []viper.Segment, pkt []byte) error
 }
@@ -208,6 +211,11 @@ type rtRxGroup struct {
 	served   bool
 	lastRx   time.Time
 	ackArmed bool
+	// expire discards the group if it is still incomplete GroupTimeout
+	// after its first packet. serve stops it: the pending closure holds
+	// the group, reassembly buffer included, until it fires or is
+	// stopped.
+	expire *time.Timer
 }
 
 func (g *rtRxGroup) complete() bool { return g.mask == fullMask(g.nPkts) }
@@ -466,7 +474,10 @@ func (rt *RT) sendGroup(route []viper.Segment, pkts []*Packet, mask, skip uint32
 		first = false
 		q := *p
 		q.Timestamp = nowTimestamp()
-		rt.car.Send(route, q.Encode())
+		n := HeaderLen + len(q.Data)
+		wire := q.encodeInto(pool.Get(n)[:n])
+		rt.car.Send(route, wire)
+		pool.Put(wire)
 	}
 }
 
@@ -589,7 +600,7 @@ func (rt *RT) handleRequest(p *Packet, ret []viper.Segment) {
 		}
 		rt.rxReqs[key] = g
 		cur := g
-		time.AfterFunc(rt.cfg.GroupTimeout, func() {
+		g.expire = time.AfterFunc(rt.cfg.GroupTimeout, func() {
 			rt.mu.Lock()
 			if got, ok := rt.rxReqs[key]; ok && got == cur && !got.complete() {
 				delete(rt.rxReqs, key)
@@ -716,6 +727,7 @@ func (rt *RT) serve(key groupKey, g *rtRxGroup, data []byte, ret0 []viper.Segmen
 	rt.mu.Lock()
 	ret := g.ret // freshest return route seen for this transaction
 	delete(rt.rxReqs, key)
+	g.expire.Stop()
 	if rt.closed {
 		rt.mu.Unlock()
 		return

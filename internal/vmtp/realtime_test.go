@@ -85,6 +85,38 @@ func TestRTBasicCall(t *testing.T) {
 	}
 }
 
+// TestRTServedGroupReleased pins the request-side cleanup: once a
+// request group is served it leaves no rxReqs entry, and its
+// GroupTimeout timer is stopped, so the timer's closure no longer pins
+// the group's reassembly buffer for the rest of the timeout.
+func TestRTServedGroupReleased(t *testing.T) {
+	client, server, _, _ := rtPair(t, RTConfig{})
+	var served *rtRxGroup
+	server.SetHandler(func(from uint64, data []byte, ret []viper.Segment) []byte {
+		server.mu.Lock()
+		for _, g := range server.rxReqs {
+			served = g
+		}
+		server.mu.Unlock()
+		return data
+	})
+	if _, err := client.Call(0x51, testRoute, make([]byte, 3000)); err != nil {
+		t.Fatalf("Call: %v", err)
+	}
+	server.mu.Lock()
+	pending := len(server.rxReqs)
+	server.mu.Unlock()
+	if pending != 0 {
+		t.Fatalf("%d request groups still held after the call was served", pending)
+	}
+	if served == nil {
+		t.Fatal("handler saw no request group")
+	}
+	if served.expire.Stop() {
+		t.Fatal("served group's GroupTimeout timer was still pending")
+	}
+}
+
 func TestRTLargeGroupUnderLoss(t *testing.T) {
 	cfg := RTConfig{
 		BaseTimeout: 20 * time.Millisecond,

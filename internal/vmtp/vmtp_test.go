@@ -486,3 +486,20 @@ func TestKindStringer(t *testing.T) {
 		t.Fatal("Kind.String broken")
 	}
 }
+
+// TestEncodeIntoReusedBuffer pins the pooled send path: encoding into a
+// recycled buffer whose bytes are stale — checksum field included —
+// must produce the same wire image as a fresh Encode.
+func TestEncodeIntoReusedBuffer(t *testing.T) {
+	p := &Packet{Header: Header{Client: 1, Server: 2, Txn: 3, Kind: KindRequest, NPkts: 1, TotalLen: 4}, Data: []byte("data")}
+	dirty := make([]byte, HeaderLen+len(p.Data))
+	for i := range dirty {
+		dirty[i] = 0xA5
+	}
+	if got, want := p.encodeInto(dirty), p.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("reused-buffer encoding differs:\n got %x\nwant %x", got, want)
+	}
+	if _, err := Decode(p.encodeInto(dirty)); err != nil {
+		t.Fatalf("Decode of reused-buffer encoding: %v", err)
+	}
+}

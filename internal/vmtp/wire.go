@@ -93,7 +93,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // not use a checksum", §4.1; VMTP carries checksum and timestamp in the
 // trailer).
 func (p *Packet) Encode() []byte {
-	b := make([]byte, HeaderLen+len(p.Data))
+	return p.encodeInto(make([]byte, HeaderLen+len(p.Data)))
+}
+
+// encodeInto is Encode into b, which must be HeaderLen+len(p.Data)
+// bytes long.
+func (p *Packet) encodeInto(b []byte) []byte {
 	binary.BigEndian.PutUint64(b[0:8], p.Client)
 	binary.BigEndian.PutUint64(b[8:16], p.Server)
 	binary.BigEndian.PutUint32(b[16:20], p.Txn)
@@ -107,6 +112,7 @@ func (p *Packet) Encode() []byte {
 	copy(b[HeaderLen:], p.Data)
 	// The checksum field is zero while the sum is computed over the
 	// whole packet, then filled in.
+	clear(b[36:40])
 	sum := crc32.Checksum(b, crcTable)
 	binary.BigEndian.PutUint32(b[36:40], sum)
 	return b
@@ -117,10 +123,11 @@ func Decode(b []byte) (*Packet, error) {
 	if len(b) < HeaderLen {
 		return nil, ErrShort
 	}
-	sum := binary.BigEndian.Uint32(b[36:40])
-	cp := append([]byte(nil), b...)
-	cp[36], cp[37], cp[38], cp[39] = 0, 0, 0, 0
-	if crc32.Checksum(cp, crcTable) != sum {
+	// The sum covers the packet with its checksum field zeroed, as
+	// Encode computed it; fold the zeros in rather than copying b.
+	var zero [4]byte
+	crc := crc32.Update(crc32.Checksum(b[:36], crcTable), crcTable, zero[:])
+	if crc32.Update(crc, crcTable, b[HeaderLen:]) != binary.BigEndian.Uint32(b[36:40]) {
 		return nil, ErrChecksum
 	}
 	p := &Packet{
