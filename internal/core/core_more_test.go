@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/directory"
 	"repro/internal/router"
@@ -89,7 +90,7 @@ func TestMTUOptionAppliesToMediumAndRoutes(t *testing.T) {
 func TestRouterRebootSoftState(t *testing.T) {
 	n := buildCampus(14, router.Config{})
 	n.GuardRouter("R1", []byte("k"), 2)
-	client := n.NewEndpoint("hA", 1, 1, vmtp.Config{BaseTimeout: 20 * sim.Millisecond, MaxRetries: 5})
+	client := n.NewEndpoint("hA", 1, 1, vmtp.Config{BaseTimeout: 20 * time.Millisecond, MaxRetries: 5})
 	server := n.NewEndpoint("hB", 2, 1, vmtp.Config{})
 	server.SetHandler(func(from uint64, data []byte) []byte { return data })
 	routes, err := n.Routes(directory.Query{From: "hA", To: "hB", Pref: directory.MinDelay, Endpoint: 1, Account: 5})
@@ -146,7 +147,7 @@ func TestMultiHomedHost(t *testing.T) {
 	n.Connect("R1", 2, "server", 1, 10e6, 100*sim.Microsecond)
 	n.Connect("R2", 2, "server", 2, 10e6, 100*sim.Microsecond)
 
-	client := n.NewEndpoint("client", 0xC, 1, vmtp.Config{BaseTimeout: 10 * sim.Millisecond, MaxRetries: 1})
+	client := n.NewEndpoint("client", 0xC, 1, vmtp.Config{BaseTimeout: 10 * time.Millisecond, MaxRetries: 1})
 	server := n.NewEndpoint("server", 0x5, 1, vmtp.Config{})
 	server.SetHandler(func(from uint64, data []byte) []byte { return []byte("still here") })
 

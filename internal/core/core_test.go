@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/directory"
 	"repro/internal/router"
@@ -162,7 +163,7 @@ func TestTokensEndToEndViaDirectory(t *testing.T) {
 
 func TestFailoverAcrossTrunksFullStack(t *testing.T) {
 	n := buildCampus(4, router.Config{})
-	client := n.NewEndpoint("hA", 1, 1, vmtp.Config{BaseTimeout: 20 * sim.Millisecond, MaxRetries: 1})
+	client := n.NewEndpoint("hA", 1, 1, vmtp.Config{BaseTimeout: 20 * time.Millisecond, MaxRetries: 1})
 	server := n.NewEndpoint("hB", 2, 1, vmtp.Config{})
 	server.SetHandler(func(from uint64, data []byte) []byte { return []byte("alive") })
 

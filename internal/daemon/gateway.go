@@ -38,7 +38,7 @@ type GatewayConfig struct {
 	Window     int
 	GroupBytes int
 	// RT tunes the underlying VMTP endpoints.
-	RT vmtp.RTConfig
+	RT vmtp.Config
 }
 
 // GatewayServer is a running standalone gateway.
@@ -143,16 +143,40 @@ func (g *GatewayServer) Bill() map[uint32]ledger.Entry {
 	return g.col.Ledger().Totals()
 }
 
+// reconcileWait bounds how long Reconcile waits for the forwarding
+// plane to settle before it reports a mismatch.
+const reconcileWait = 2 * time.Second
+
 // Reconcile sweeps the ledger and checks it against the forwarding
 // plane's token-authorization counters; nil means every billed packet
-// matches an authorization.
+// matches an authorization. Packets may still be crossing the routers
+// (a closed stream's trailing acks), and a router charges its token
+// cache per frame but flushes its counters per batch, so any single
+// sweep can land between the two. Reconcile therefore sweeps until the
+// authorization count reads the same before and after the sweep and
+// the books balance; a mismatch that outlasts reconcileWait is
+// reported.
 func (g *GatewayServer) Reconcile() []string {
-	g.col.Collect()
-	var c stats.Counters
-	for _, r := range g.routers {
-		c.TokenAuthorized += r.Stats().TokenAuthorized
+	deadline := time.Now().Add(reconcileWait)
+	for {
+		before := g.authorized()
+		g.col.Collect()
+		c := stats.Counters{TokenAuthorized: g.authorized()}
+		problems := ledger.Reconcile("gateway", g.col.Ledger(), c)
+		if (len(problems) == 0 && c.TokenAuthorized == before) || time.Now().After(deadline) {
+			return problems
+		}
+		time.Sleep(time.Millisecond)
 	}
-	return ledger.Reconcile("gateway", g.col.Ledger(), c)
+}
+
+// authorized sums the routers' token-authorized packet counters.
+func (g *GatewayServer) authorized() uint64 {
+	var n uint64
+	for _, r := range g.routers {
+		n += r.Stats().TokenAuthorized
+	}
+	return n
 }
 
 // Close stops the SOCKS listener, tears down the relays, and stops the

@@ -261,7 +261,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	var gwIngress *gateway.Ingress
 	var gwEgress *gateway.Egress
 	if cfg.Gateway {
-		gwRT := vmtp.RTConfig{BaseTimeout: 50 * time.Millisecond, CallTimeout: 60 * time.Second}
+		gwRT := vmtp.Config{BaseTimeout: 50 * time.Millisecond, CallTimeout: 60 * time.Second}
 		if h, ok := hosts[geg]; ok {
 			gwEgress = gateway.NewEgress(h, check.GatewayEndpoint, gateway.Config{
 				Entity: check.GatewayEgressEntity, RT: gwRT,

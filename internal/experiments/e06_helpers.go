@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/binary"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/directory"
@@ -35,7 +36,7 @@ func sirpentFailover(useAdvisor bool) sim.Time {
 	n.Connect("R1", 2, "R2", 1, linkRate, linkProp)
 	n.Connect("R3", 2, "R4", 1, linkRate, linkProp)
 
-	client := n.NewEndpoint("hA", 1, 1, vmtp.Config{BaseTimeout: 20 * sim.Millisecond, MaxRetries: 1})
+	client := n.NewEndpoint("hA", 1, 1, vmtp.Config{BaseTimeout: 20 * time.Millisecond, MaxRetries: 1})
 	server := n.NewEndpoint("hB", 2, 1, vmtp.Config{})
 	server.SetHandler(func(from uint64, data []byte) []byte { return data })
 	routes, err := n.Routes(directory.Query{From: "hA", To: "hB", Pref: directory.MinHops, Count: 2, Endpoint: 1})

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -225,7 +226,7 @@ func E10MPL() *Table {
 		eng.RunUntil(2 * sim.Minute)
 		h := router.NewHost(eng, "h")
 		ck := clock.New(eng, skew, 0)
-		ep := vmtp.NewEndpoint(eng, h, ck, 0xE, 1, vmtp.Config{MPL: mpl, FutureSlack: 5 * sim.Second})
+		ep := vmtp.NewEndpoint(eng, h, ck, 0xE, 1, vmtp.Config{MPL: mpl.Duration(), FutureSlack: 5 * time.Second})
 		accepted := false
 		ep.SetHandler(func(from uint64, data []byte) []byte { accepted = true; return nil })
 		// Craft a request stamped "age" ago by a true-time sender.
@@ -451,8 +452,8 @@ func vmtpLossRun(loss float64) (bool, uint64) {
 	dst.AttachPort(ob)
 
 	ckA, ckB := clock.New(eng, 0, 0), clock.New(eng, 0, 0)
-	client := vmtp.NewEndpoint(eng, src, ckA, 1, 1, vmtp.Config{BaseTimeout: 50 * sim.Millisecond, MaxRetries: 8, GapAckDelay: 5 * sim.Millisecond})
-	server := vmtp.NewEndpoint(eng, dst, ckB, 2, 1, vmtp.Config{GapAckDelay: 5 * sim.Millisecond})
+	client := vmtp.NewEndpoint(eng, src, ckA, 1, 1, vmtp.Config{BaseTimeout: 50 * time.Millisecond, MaxRetries: 8, GapAckDelay: 5 * time.Millisecond})
+	server := vmtp.NewEndpoint(eng, dst, ckB, 2, 1, vmtp.Config{GapAckDelay: 5 * time.Millisecond})
 	server.SetHandler(func(from uint64, data []byte) []byte { return []byte("got it") })
 	route := []viper.Segment{
 		{Port: 1, Flags: viper.FlagVNT},

@@ -78,7 +78,7 @@ type Config struct {
 	// MaxStreams bounds concurrent streams on the egress. Default 1024.
 	MaxStreams int
 	// RT tunes the underlying real-time VMTP endpoint.
-	RT vmtp.RTConfig
+	RT vmtp.Config
 	// Telemetry, when set, receives per-stage stream spans: the sender
 	// side records each sampled data group's full mesh round trip
 	// ("stream-ingress" uplink, "stream-return" downlink), the

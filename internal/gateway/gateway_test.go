@@ -435,7 +435,7 @@ func TestGatewayLossyMesh(t *testing.T) {
 	m := buildMesh(t, 2)
 	// Impair the trunk between r0 and r1 (both directions).
 	m.trunks[0].SetLossRatio(0.05)
-	cfg := Config{GroupBytes: 4 << 10, RT: vmtp.RTConfig{
+	cfg := Config{GroupBytes: 4 << 10, RT: vmtp.Config{
 		BaseTimeout: 20 * time.Millisecond,
 		GapAckDelay: time.Millisecond,
 		MaxRetries:  60,

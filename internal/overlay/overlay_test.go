@@ -3,6 +3,7 @@ package overlay
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/ethernet"
@@ -179,7 +180,7 @@ func TestTunnelSurvivesCoreLossViaTransport(t *testing.T) {
 	f := newFixture(0)
 	f.coreLink.AB.SetLossRate(0.3)
 	ckA, ckB := clock.New(f.eng, 0, 0), clock.New(f.eng, 0, 0)
-	client := vmtp.NewEndpoint(f.eng, f.hA, ckA, 0xA, 1, vmtp.Config{BaseTimeout: 30 * sim.Millisecond, MaxRetries: 10})
+	client := vmtp.NewEndpoint(f.eng, f.hA, ckA, 0xA, 1, vmtp.Config{BaseTimeout: 30 * time.Millisecond, MaxRetries: 10})
 	server := vmtp.NewEndpoint(f.eng, f.hB, ckB, 0xB, 1, vmtp.Config{})
 	server.SetHandler(func(from uint64, data []byte) []byte { return data })
 	ok := false

@@ -156,18 +156,6 @@ func (e *Engine) Cancel(id EventID) bool {
 // Stop halts Run/RunUntil after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// NextAt reports the timestamp of the earliest scheduled event, without
-// executing it; ok is false when the queue is empty. Harnesses that
-// couple the engine to real I/O (internal/overlay's UDP carrier) peek
-// it to decide whether the next Step would advance the clock past a
-// timeout before in-flight datagrams have had wall-clock time to land.
-func (e *Engine) NextAt() (at Time, ok bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
-}
-
 // Step executes the next event, advancing virtual time to it. It reports
 // whether an event was executed.
 func (e *Engine) Step() bool {

@@ -1,8 +1,7 @@
 package vmtp
 
 import (
-	"errors"
-	"fmt"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/router"
@@ -10,189 +9,58 @@ import (
 	"repro/internal/viper"
 )
 
-// Config tunes an endpoint.
-type Config struct {
-	// MaxPacketData bounds the data per packet; default 1024 (§5's
-	// "roughly 1 kilobyte transport packet").
-	MaxPacketData int
-	// PacingGap is the inter-packet gap within a group — VMTP's
-	// rate-based flow control "between packets within a packet group to
-	// avoid overruns" (§4.3). Zero sends back to back.
-	PacingGap sim.Time
-	// BaseTimeout seeds the retransmission timer before an RTT estimate
-	// exists. Default 50ms.
-	BaseTimeout sim.Time
-	// MaxRetries per route before failing over to the next alternate
-	// route. Default 3.
-	MaxRetries int
-	// MPL is the maximum packet lifetime the endpoint accepts; older
-	// packets are discarded on arrival (§4.2). Default 30s.
-	MPL sim.Time
-	// FutureSlack tolerates receiver clocks behind senders. Default 5s.
-	FutureSlack sim.Time
-	// GapAckDelay is how long a receiver waits on an incomplete group
-	// before sending a selective ack of what it has (§4.3). Default 5ms.
-	GapAckDelay sim.Time
-	// ResponseCacheTTL is the duplicate-suppression window. Default 5s.
-	ResponseCacheTTL sim.Time
-	// GroupTimeout discards an incomplete request group (and stops its
-	// selective acks) if the missing packets never arrive. Default 2s.
-	GroupTimeout sim.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxPacketData == 0 {
-		c.MaxPacketData = MaxPacketData
-	}
-	if c.BaseTimeout == 0 {
-		c.BaseTimeout = 50 * sim.Millisecond
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.MPL == 0 {
-		c.MPL = 30 * sim.Second
-	}
-	if c.FutureSlack == 0 {
-		c.FutureSlack = 5 * sim.Second
-	}
-	if c.GapAckDelay == 0 {
-		c.GapAckDelay = 5 * sim.Millisecond
-	}
-	if c.ResponseCacheTTL == 0 {
-		c.ResponseCacheTTL = 5 * sim.Second
-	}
-	if c.GroupTimeout == 0 {
-		c.GroupTimeout = 2 * sim.Second
-	}
-	return c
-}
-
-// Stats counts transport events.
-type Stats struct {
-	CallsStarted     uint64
-	CallsCompleted   uint64
-	CallsFailed      uint64
-	Retransmissions  uint64
-	SelectiveResends uint64 // packets resent due to receiver masks
-	RouteFailovers   uint64
-	AdvisorySkips    uint64 // routes skipped on directory advice (§6.3)
-	StaleDrops       uint64 // packets older than MPL (§4.2)
-	ChecksumDrops    uint64 // corrupted or truncated packets (§4.1)
-	Misdelivered     uint64 // entity identifier mismatch (§4.1)
-	DupRequests      uint64 // answered from the response cache
-	AcksSent         uint64
-	QueueDrops       uint64 // RT receive-queue overflow (real-time endpoints only)
-}
-
 // Handler serves requests: it receives the caller's entity identifier
 // and request data and returns the response data.
 type Handler func(from uint64, data []byte) []byte
 
-// Errors.
-var (
-	ErrAllRoutesFailed = errors.New("vmtp: transaction failed on every route")
-	ErrNoRoutes        = errors.New("vmtp: no routes supplied")
-)
-
-// Endpoint is a VMTP entity bound to one Sirpent host endpoint. The
-// 64-bit entity identifier is "unique independent of the (inter)network
-// layer addressing" (§4.1), which is what lets VMTP survive misdelivery,
-// migration and multi-homing.
+// Endpoint is the simulated driver: a VMTP entity bound to one Sirpent
+// host endpoint in virtual time. The 64-bit entity identifier is
+// "unique independent of the (inter)network layer addressing" (§4.1),
+// which is what lets VMTP survive misdelivery, migration and
+// multi-homing. Timers are sim.Engine events, Call completes through a
+// callback over alternate routes, and the handler runs synchronously,
+// so its response needs no "received, response pending" ack.
 type Endpoint struct {
-	eng  *sim.Engine
-	host *router.Host
-	clk  *clock.Clock
-	id   uint64
-	hep  uint8 // host endpoint (intra-host port)
-	cfg  Config
-
-	nextTxn uint32
-	calls   map[uint32]*call
-
-	handler   Handler
-	advisor   func(route []viper.Segment) bool
-	rxReqs    map[groupKey]*rxGroup
-	respCache map[groupKey]*respEntry
-
-	srtt, rttvar map[uint64]sim.Time
-
-	Stats Stats
-}
-
-type groupKey struct {
-	client uint64
-	txn    uint32
-}
-
-// rxGroup reassembles one packet group.
-type rxGroup struct {
-	nPkts    uint8
-	totalLen int
-	mask     uint32
-	data     []byte
-	ret      []viper.Segment // freshest return route
-	prio     viper.Priority
-	ackTimer bool
-	done     bool
-	lastRx   sim.Time // most recent packet arrival (gap detection)
-}
-
-func (g *rxGroup) complete() bool {
-	return g.mask == fullMask(g.nPkts)
-}
-
-func fullMask(n uint8) uint32 {
-	if n >= 32 {
-		return ^uint32(0)
-	}
-	return (uint32(1) << n) - 1
-}
-
-type respEntry struct {
-	pkts    []*Packet
-	expires sim.Time
-}
-
-// call is one outstanding client transaction.
-type call struct {
-	txn      uint32
-	server   uint64
-	routes   [][]viper.Segment
-	routeIdx int
-	reqPkts  []*Packet
-	acked    uint32
-	resp     *rxGroup
-	done     func([]byte, error)
-	retries  int
-	timer    sim.EventID
-	hasTimer bool
-	started  sim.Time
-	sendTime sim.Time // start of the current attempt (for RTT)
-	clean    bool     // no retransmissions: RTT sample is valid (Karn)
+	core
+	eng     *sim.Engine
+	host    *router.Host
+	clk     *clock.Clock
+	hep     uint8 // host endpoint (intra-host port)
+	handler Handler
 }
 
 // NewEndpoint binds a VMTP entity to a host endpoint.
 func NewEndpoint(eng *sim.Engine, h *router.Host, clk *clock.Clock, id uint64, hostEndpoint uint8, cfg Config) *Endpoint {
-	ep := &Endpoint{
-		eng:       eng,
-		host:      h,
-		clk:       clk,
-		id:        id,
-		hep:       hostEndpoint,
-		cfg:       cfg.withDefaults(),
-		calls:     make(map[uint32]*call),
-		rxReqs:    make(map[groupKey]*rxGroup),
-		respCache: make(map[groupKey]*respEntry),
-		srtt:      make(map[uint64]sim.Time),
-		rttvar:    make(map[uint64]sim.Time),
-	}
+	ep := &Endpoint{eng: eng, host: h, clk: clk, hep: hostEndpoint}
+	ep.core.init(id, cfg, ep)
 	h.Handle(hostEndpoint, ep.deliver)
 	return ep
 }
 
-// ID returns the entity identifier.
-func (ep *Endpoint) ID() uint64 { return ep.id }
+func (ep *Endpoint) now() time.Duration     { return time.Duration(ep.eng.Now()) }
+func (ep *Endpoint) stamp() clock.Timestamp { return ep.clk.Timestamp() }
+
+func (ep *Endpoint) after(d time.Duration, t timed) timer {
+	st := &simTimer{eng: ep.eng}
+	st.fn = func() { ep.run(t.fire(&ep.core)) }
+	st.Reset(d)
+	return st
+}
+
+// simTimer is a timer on the simulation engine.
+type simTimer struct {
+	eng *sim.Engine
+	ev  sim.EventID
+	fn  func()
+}
+
+func (t *simTimer) Reset(d time.Duration) bool {
+	active := t.Stop()
+	t.ev = t.eng.Schedule(sim.Time(d), t.fn)
+	return active
+}
+
+func (t *simTimer) Stop() bool { return t.eng.Cancel(t.ev) }
 
 // SetHandler installs the request handler (server role).
 func (ep *Endpoint) SetHandler(h Handler) { ep.handler = h }
@@ -207,7 +75,7 @@ func (ep *Endpoint) SetRouteAdvisor(fn func(route []viper.Segment) bool) { ep.ad
 
 // RTT returns the smoothed round-trip estimate toward a server entity,
 // or 0 if none yet.
-func (ep *Endpoint) RTT(server uint64) sim.Time { return ep.srtt[server] }
+func (ep *Endpoint) RTT(server uint64) sim.Time { return sim.Time(ep.srtt[server]) }
 
 // Call starts a transaction to a server entity over the given alternate
 // source routes (primary first), invoking done with the response or an
@@ -216,119 +84,11 @@ func (ep *Endpoint) Call(server uint64, routes [][]viper.Segment, data []byte, d
 	if len(routes) == 0 {
 		return ErrNoRoutes
 	}
-	chunks, err := Segment(data, ep.cfg.MaxPacketData)
-	if err != nil {
-		return err
+	o, err := ep.begin(server, routes, data, done)
+	if err == nil {
+		ep.run(o)
 	}
-	ep.nextTxn++
-	c := &call{
-		txn:     ep.nextTxn,
-		server:  server,
-		routes:  routes,
-		done:    done,
-		started: ep.eng.Now(),
-		clean:   true,
-	}
-	for i, ch := range chunks {
-		c.reqPkts = append(c.reqPkts, &Packet{
-			Header: Header{
-				Client:   ep.id,
-				Server:   server,
-				Txn:      c.txn,
-				Kind:     KindRequest,
-				PktIndex: uint8(i),
-				NPkts:    uint8(len(chunks)),
-				TotalLen: uint32(len(data)),
-			},
-			Data: ch,
-		})
-	}
-	ep.calls[c.txn] = c
-	ep.Stats.CallsStarted++
-	ep.sendRequest(c, ^uint32(0))
-	return nil
-}
-
-// sendRequest transmits the request packets selected by mask (bit i =
-// packet i), paced by PacingGap, then arms the retransmission timer.
-// Routes the advisor reports unhealthy are skipped without waiting for
-// a timeout.
-func (ep *Endpoint) sendRequest(c *call, mask uint32) {
-	if ep.advisor != nil {
-		for c.routeIdx+1 < len(c.routes) && !ep.advisor(c.routes[c.routeIdx]) {
-			c.routeIdx++
-			c.retries = 0
-			c.acked = 0
-			mask = ^uint32(0)
-			ep.Stats.AdvisorySkips++
-		}
-	}
-	c.sendTime = ep.eng.Now()
-	route := c.routes[c.routeIdx]
-	gap := sim.Time(0)
-	for i, p := range c.reqPkts {
-		if mask&(1<<uint(i)) == 0 || c.acked&(1<<uint(i)) != 0 {
-			continue
-		}
-		p := p
-		ep.eng.Schedule(gap, func() {
-			p.Timestamp = ep.clk.Timestamp()
-			ep.host.SendFrom(ep.hep, route, p.Encode())
-		})
-		gap += ep.cfg.PacingGap
-	}
-	ep.armTimer(c)
-}
-
-func (ep *Endpoint) armTimer(c *call) {
-	if c.hasTimer {
-		ep.eng.Cancel(c.timer)
-	}
-	c.timer = ep.eng.Schedule(ep.timeout(c.server), func() { ep.onTimeout(c) })
-	c.hasTimer = true
-}
-
-// timeout computes the adaptive retransmission timer (Jacobson).
-func (ep *Endpoint) timeout(server uint64) sim.Time {
-	srtt, ok := ep.srtt[server]
-	if !ok || srtt == 0 {
-		return ep.cfg.BaseTimeout
-	}
-	to := srtt + 4*ep.rttvar[server]
-	if to < ep.cfg.BaseTimeout/4 {
-		to = ep.cfg.BaseTimeout / 4
-	}
-	return to
-}
-
-func (ep *Endpoint) onTimeout(c *call) {
-	c.hasTimer = false
-	if _, live := ep.calls[c.txn]; !live {
-		return
-	}
-	c.retries++
-	c.clean = false
-	if c.retries > ep.cfg.MaxRetries {
-		// Fail over to the next alternate route (§6.3: the client
-		// "switches between these routes based on the performance of
-		// the different routes").
-		if c.routeIdx+1 < len(c.routes) {
-			c.routeIdx++
-			c.retries = 0
-			c.acked = 0
-			ep.Stats.RouteFailovers++
-			ep.sendRequest(c, ^uint32(0))
-			return
-		}
-		delete(ep.calls, c.txn)
-		ep.Stats.CallsFailed++
-		if c.done != nil {
-			c.done(nil, fmt.Errorf("%w (txn %d)", ErrAllRoutesFailed, c.txn))
-		}
-		return
-	}
-	ep.Stats.Retransmissions++
-	ep.sendRequest(c, ^uint32(0))
+	return err
 }
 
 // Deliver injects a delivery as if it had arrived from the host's
@@ -336,8 +96,6 @@ func (ep *Endpoint) onTimeout(c *call) {
 // (stale timestamps, corrupted bytes, misdirected entities).
 func (ep *Endpoint) Deliver(d *router.Delivery) { ep.deliver(d) }
 
-// deliver is the host-endpoint entry: parse, validate age and identity,
-// and dispatch.
 func (ep *Endpoint) deliver(d *router.Delivery) {
 	p, err := Decode(d.Data)
 	if err != nil {
@@ -346,239 +104,34 @@ func (ep *Endpoint) deliver(d *router.Delivery) {
 		ep.Stats.ChecksumDrops++
 		return
 	}
-	// Maximum packet lifetime (§4.2): reject packets whose creation
-	// timestamp is too old (or absurdly far in the future).
-	if p.Timestamp != clock.InvalidTimestamp {
-		age := clock.Age(ep.clk.Timestamp(), p.Timestamp)
-		if age > int64(ep.cfg.MPL/sim.Millisecond) || age < -int64(ep.cfg.FutureSlack/sim.Millisecond) {
-			ep.Stats.StaleDrops++
-			return
-		}
-	}
-	switch p.Kind {
-	case KindRequest:
-		if p.Server != ep.id {
-			ep.Stats.Misdelivered++
-			return
-		}
-		ep.handleRequest(p, d)
-	case KindResponse, KindAck:
-		if p.Client != ep.id {
-			ep.Stats.Misdelivered++
-			return
-		}
-		if p.Kind == KindAck {
-			ep.handleAck(p)
-		} else {
-			ep.handleResponse(p, d)
-		}
-	}
+	ep.run(ep.receive(p, d.ReturnRoute))
 }
 
-// --- server side ---
-
-func (ep *Endpoint) handleRequest(p *Packet, d *router.Delivery) {
-	key := groupKey{client: p.Client, txn: p.Txn}
-	// Duplicate transaction: replay the cached response (§4's
-	// transactional at-most-once behavior).
-	if e, ok := ep.respCache[key]; ok && ep.eng.Now() < e.expires {
-		ep.Stats.DupRequests++
-		ep.sendPackets(e.pkts, d.ReturnRoute)
-		return
-	}
-	g, ok := ep.rxReqs[key]
-	if !ok {
-		g = &rxGroup{
-			nPkts:    p.NPkts,
-			totalLen: int(p.TotalLen),
-			data:     make([]byte, p.TotalLen),
-			prio:     prioOf(d),
-		}
-		ep.rxReqs[key] = g
-		ep.eng.Schedule(ep.cfg.GroupTimeout, func() {
-			if cur, ok := ep.rxReqs[key]; ok && cur == g {
-				delete(ep.rxReqs, key)
-			}
-		})
-	}
-	g.ret = d.ReturnRoute
-	g.lastRx = ep.eng.Now()
-	ep.placePacket(g, p)
-	if g.complete() {
-		delete(ep.rxReqs, key)
-		ep.serve(key, g)
-		return
-	}
-	// Incomplete: arm the gap-detection selective ack (§4.3).
-	if !g.ackTimer {
-		g.ackTimer = true
-		ep.eng.Schedule(ep.cfg.GapAckDelay, func() { ep.gapAck(key, g) })
-	}
-}
-
-func prioOf(d *router.Delivery) viper.Priority {
-	if len(d.Pkt.Trailer) > 0 {
-		return d.Pkt.Trailer[len(d.Pkt.Trailer)-1].Priority
-	}
-	return 0
-}
-
-func (ep *Endpoint) placePacket(g *rxGroup, p *Packet) {
-	bit := uint32(1) << p.PktIndex
-	if g.mask&bit != 0 {
-		return
-	}
-	g.mask |= bit
-	chunk := ChunkSize(g.totalLen, int(g.nPkts))
-	off := int(p.PktIndex) * chunk
-	if off <= len(g.data) {
-		copy(g.data[off:], p.Data)
-	}
-}
-
-// gapAck tells the client which request packets arrived, so it resends
-// only the missing ones — selective retransmission (§4.3).
-func (ep *Endpoint) gapAck(key groupKey, g *rxGroup) {
-	g.ackTimer = false
-	if g.done || g.complete() {
-		return
-	}
-	if cur, ok := ep.rxReqs[key]; !ok || cur != g {
-		return
-	}
-	// Only ack once the group has actually gone quiet — an ack while
-	// packets are still streaming in would trigger pointless resends.
-	if quiet := ep.eng.Now() - g.lastRx; quiet < ep.cfg.GapAckDelay {
-		g.ackTimer = true
-		ep.eng.Schedule(ep.cfg.GapAckDelay-quiet, func() { ep.gapAck(key, g) })
-		return
-	}
-	ack := &Packet{Header: Header{
-		Client:    key.client,
-		Server:    ep.id,
-		Txn:       key.txn,
-		Kind:      KindAck,
-		NPkts:     g.nPkts,
-		Mask:      g.mask,
-		Timestamp: ep.clk.Timestamp(),
-	}}
-	ep.Stats.AcksSent++
-	ep.sendPackets([]*Packet{ack}, g.ret)
-	// Re-arm while still incomplete.
-	g.ackTimer = true
-	ep.eng.Schedule(4*ep.cfg.GapAckDelay, func() { ep.gapAck(key, g) })
-}
-
-func (ep *Endpoint) serve(key groupKey, g *rxGroup) {
-	g.done = true
-	if ep.handler == nil {
-		return
-	}
-	respData := ep.handler(key.client, g.data)
-	chunks, err := Segment(respData, ep.cfg.MaxPacketData)
-	if err != nil {
-		return
-	}
-	var pkts []*Packet
-	for i, ch := range chunks {
-		pkts = append(pkts, &Packet{
-			Header: Header{
-				Client:   key.client,
-				Server:   ep.id,
-				Txn:      key.txn,
-				Kind:     KindResponse,
-				PktIndex: uint8(i),
-				NPkts:    uint8(len(chunks)),
-				TotalLen: uint32(len(respData)),
-			},
-			Data: ch,
-		})
-	}
-	ep.respCache[key] = &respEntry{pkts: pkts, expires: ep.eng.Now() + ep.cfg.ResponseCacheTTL}
-	ep.eng.Schedule(ep.cfg.ResponseCacheTTL, func() {
-		if e, ok := ep.respCache[key]; ok && ep.eng.Now() >= e.expires {
-			delete(ep.respCache, key)
-		}
-	})
-	ep.sendPackets(pkts, g.ret)
-}
-
-// sendPackets transmits a group along a route with pacing, restamping
-// timestamps at transmission time.
-func (ep *Endpoint) sendPackets(pkts []*Packet, route []viper.Segment) {
-	if len(route) == 0 {
-		return
-	}
-	gap := sim.Time(0)
-	for _, p := range pkts {
-		p := p
-		ep.eng.Schedule(gap, func() {
+// run carries out a core step: packets go out at PacingGap spacing in
+// virtual time, the handler answers a complete request at once, and a
+// finished call's callback runs last.
+func (ep *Endpoint) run(o out) {
+	at := sim.Time(0)
+	route := o.tx.route
+	o.tx.each(ep.cfg.PacingGap, func(h Header, data []byte, wait time.Duration) {
+		at += sim.Time(wait)
+		p := &Packet{Header: h, Data: data}
+		ep.eng.Schedule(at, func() {
 			p.Timestamp = ep.clk.Timestamp()
-			ep.host.SendFrom(ep.hep, route, p.Encode())
+			ep.host.SendFrom(ep.hep, route, p.Encode()) // a failed send is loss; retransmission recovers it
 		})
-		gap += ep.cfg.PacingGap
-	}
-}
-
-// --- client side ---
-
-func (ep *Endpoint) handleAck(p *Packet) {
-	c, ok := ep.calls[p.Txn]
-	if !ok {
-		return
-	}
-	c.acked |= p.Mask
-	missing := fullMask(uint8(len(c.reqPkts))) &^ c.acked
-	if missing == 0 {
-		return // all received; response should follow
-	}
-	c.clean = false
-	ep.Stats.SelectiveResends++
-	ep.sendRequest(c, missing)
-}
-
-func (ep *Endpoint) handleResponse(p *Packet, d *router.Delivery) {
-	c, ok := ep.calls[p.Txn]
-	if !ok {
-		return // late duplicate response
-	}
-	if c.resp == nil {
-		c.resp = &rxGroup{
-			nPkts:    p.NPkts,
-			totalLen: int(p.TotalLen),
-			data:     make([]byte, p.TotalLen),
+	})
+	if g := o.serve; g != nil {
+		var resp []byte
+		if ep.handler != nil {
+			resp = ep.handler(g.key.client, g.data)
 		}
+		// A response larger than one group is not sent (pkts is nil); the
+		// client's retries and CallTimeout end the call.
+		pkts, _ := ep.packets(KindResponse, g.key.client, ep.id, g.key.txn, resp)
+		ep.run(ep.respond(g, pkts))
 	}
-	ep.placePacket(c.resp, p)
-	if !c.resp.complete() {
-		ep.armTimer(c) // keep waiting for the rest of the group
-		return
+	if c := o.done; c != nil && c.done != nil {
+		c.done(c.data, c.err)
 	}
-	if c.hasTimer {
-		ep.eng.Cancel(c.timer)
-		c.hasTimer = false
-	}
-	delete(ep.calls, c.txn)
-	ep.Stats.CallsCompleted++
-	if c.clean {
-		ep.recordRTT(c.server, ep.eng.Now()-c.sendTime)
-	}
-	if c.done != nil {
-		c.done(c.resp.data, nil)
-	}
-}
-
-func (ep *Endpoint) recordRTT(server uint64, rtt sim.Time) {
-	srtt, ok := ep.srtt[server]
-	if !ok {
-		ep.srtt[server] = rtt
-		ep.rttvar[server] = rtt / 2
-		return
-	}
-	diff := rtt - srtt
-	if diff < 0 {
-		diff = -diff
-	}
-	ep.rttvar[server] = (3*ep.rttvar[server] + diff) / 4
-	ep.srtt[server] = (7*srtt + rtt) / 8
 }

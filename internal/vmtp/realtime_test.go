@@ -3,6 +3,7 @@ package vmtp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -47,7 +48,7 @@ func (w *testWire) Send(route []viper.Segment, pkt []byte) error {
 var testRoute = []viper.Segment{{Port: 1}}
 
 // rtPair wires a client and server RT together.
-func rtPair(t *testing.T, cfg RTConfig) (*RT, *RT, *testWire, *testWire) {
+func rtPair(t *testing.T, cfg Config) (*RT, *RT, *testWire, *testWire) {
 	t.Helper()
 	toServer := &testWire{ret: testRoute, rnd: rand.New(rand.NewSource(71))}
 	toClient := &testWire{ret: testRoute, rnd: rand.New(rand.NewSource(72))}
@@ -63,7 +64,7 @@ func rtPair(t *testing.T, cfg RTConfig) (*RT, *RT, *testWire, *testWire) {
 }
 
 func TestRTBasicCall(t *testing.T) {
-	client, server, _, _ := rtPair(t, RTConfig{})
+	client, server, _, _ := rtPair(t, Config{})
 	server.SetHandler(func(from uint64, data []byte, ret []viper.Segment) []byte {
 		if from != 0xC1 {
 			t.Errorf("from = %#x, want 0xC1", from)
@@ -90,8 +91,8 @@ func TestRTBasicCall(t *testing.T) {
 // GroupTimeout timer is stopped, so the timer's closure no longer pins
 // the group's reassembly buffer for the rest of the timeout.
 func TestRTServedGroupReleased(t *testing.T) {
-	client, server, _, _ := rtPair(t, RTConfig{})
-	var served *rtRxGroup
+	client, server, _, _ := rtPair(t, Config{})
+	var served *rxGroup
 	server.SetHandler(func(from uint64, data []byte, ret []viper.Segment) []byte {
 		server.mu.Lock()
 		for _, g := range server.rxReqs {
@@ -118,7 +119,7 @@ func TestRTServedGroupReleased(t *testing.T) {
 }
 
 func TestRTLargeGroupUnderLoss(t *testing.T) {
-	cfg := RTConfig{
+	cfg := Config{
 		BaseTimeout: 20 * time.Millisecond,
 		GapAckDelay: time.Millisecond,
 		MaxRetries:  50,
@@ -155,7 +156,7 @@ func TestRTLargeGroupUnderLoss(t *testing.T) {
 // contract: once the full group is acked, a handler that blocks far
 // past the retransmission budget must not fail the call.
 func TestRTSlowHandlerProbes(t *testing.T) {
-	cfg := RTConfig{
+	cfg := Config{
 		BaseTimeout: 10 * time.Millisecond,
 		MaxRetries:  3,
 	}
@@ -177,7 +178,7 @@ func TestRTSlowHandlerProbes(t *testing.T) {
 // retransmits a request the server has already served: the handler
 // must run once and the cached response must answer the duplicate.
 func TestRTDuplicateSuppression(t *testing.T) {
-	cfg := RTConfig{BaseTimeout: 15 * time.Millisecond}
+	cfg := Config{BaseTimeout: 15 * time.Millisecond}
 	client, server, _, toClient := rtPair(t, cfg)
 	var dropped atomic.Bool
 	toClient.filter = func(p *Packet) bool {
@@ -205,7 +206,7 @@ func TestRTDuplicateSuppression(t *testing.T) {
 }
 
 func TestRTCallFailsWithoutServer(t *testing.T) {
-	cfg := RTConfig{BaseTimeout: 5 * time.Millisecond, MaxRetries: 2}
+	cfg := Config{BaseTimeout: 5 * time.Millisecond, MaxRetries: 2}
 	blackhole := CarrierFunc(func(_ []viper.Segment, _ []byte) error { return nil })
 	client := NewRT(0xC1, blackhole, cfg)
 	defer client.Close()
@@ -220,7 +221,7 @@ func TestRTCallFailsWithoutServer(t *testing.T) {
 
 func TestRTClosedEndpoint(t *testing.T) {
 	blackhole := CarrierFunc(func(_ []viper.Segment, _ []byte) error { return nil })
-	client := NewRT(0xC1, blackhole, RTConfig{})
+	client := NewRT(0xC1, blackhole, Config{})
 	client.Close()
 	if _, err := client.Call(0x51, testRoute, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -229,7 +230,7 @@ func TestRTClosedEndpoint(t *testing.T) {
 }
 
 func TestRTConcurrentCalls(t *testing.T) {
-	cfg := RTConfig{
+	cfg := Config{
 		BaseTimeout: 20 * time.Millisecond,
 		GapAckDelay: time.Millisecond,
 		MaxRetries:  50,
@@ -342,5 +343,61 @@ func TestSequencerAbort(t *testing.T) {
 	}
 	if err := s.Admit(0); !errors.Is(err, boom) {
 		t.Fatalf("post-abort Admit err = %v", err)
+	}
+}
+
+// rtCallSizes are the request sizes BenchmarkRTCall and
+// TestRTCallAllocs measure: one packet, and one full 32-packet group.
+var rtCallSizes = []int{1 << 10, 32 << 10}
+
+// rtCallLoop runs n echo transactions of size bytes over lossless
+// in-memory carriers; the 16-byte response keeps the cost on the
+// request group.
+func rtCallLoop(tb testing.TB, size int) func(n int) {
+	toServer := &testWire{ret: testRoute}
+	toClient := &testWire{ret: testRoute}
+	client := NewRT(0xC1, CarrierFunc(toServer.Send), Config{})
+	server := NewRT(0x51, CarrierFunc(toClient.Send), Config{})
+	toServer.dst, toClient.dst = server, client
+	tb.Cleanup(func() {
+		client.Close()
+		server.Close()
+	})
+	server.SetHandler(func(_ uint64, data []byte, _ []viper.Segment) []byte { return data[:16] })
+	req := make([]byte, size)
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := client.Call(0x51, testRoute, req); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+func BenchmarkRTCall(b *testing.B) {
+	for _, size := range rtCallSizes {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			run := rtCallLoop(b, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b.N)
+		})
+	}
+}
+
+// TestRTCallAllocs pins the real-time transaction's allocation cost
+// (both endpoints, request and response): the driver's timer plumbing
+// must not add a per-packet closure or interface allocation. The
+// ceilings are the cost before the protocol core was shared between
+// the drivers: 35 and 197 allocs/op, measured with BenchmarkRTCall on
+// a 2-vCPU Xeon with Go 1.24.
+func TestRTCallAllocs(t *testing.T) {
+	ceiling := map[int]float64{1 << 10: 35, 32 << 10: 197}
+	for _, size := range rtCallSizes {
+		run := rtCallLoop(t, size)
+		run(10) // warm the pools and the RTT estimate
+		if got := testing.AllocsPerRun(200, func() { run(1) }); got > ceiling[size] {
+			t.Errorf("%d-byte call: %.1f allocs/op, ceiling %.0f", size, got, ceiling[size])
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/netsim"
@@ -242,8 +243,8 @@ func TestLargeMessagesBothWays(t *testing.T) {
 }
 
 func TestSelectiveRetransmissionOnLoss(t *testing.T) {
-	f := newFixture(t, Config{BaseTimeout: 20 * sim.Millisecond, GapAckDelay: 2 * sim.Millisecond},
-		Config{GapAckDelay: 2 * sim.Millisecond})
+	f := newFixture(t, Config{BaseTimeout: 20 * time.Millisecond, GapAckDelay: 2 * time.Millisecond},
+		Config{GapAckDelay: 2 * time.Millisecond})
 	// 20% loss on the forward path via R1.
 	f.l1a.AB.SetLossRate(0.2)
 	f.l1b.AB.SetLossRate(0.2)
@@ -269,7 +270,7 @@ func TestSelectiveRetransmissionOnLoss(t *testing.T) {
 }
 
 func TestRouteFailover(t *testing.T) {
-	f := newFixture(t, Config{BaseTimeout: 10 * sim.Millisecond, MaxRetries: 2}, Config{})
+	f := newFixture(t, Config{BaseTimeout: 10 * time.Millisecond, MaxRetries: 2}, Config{})
 	f.server.SetHandler(func(from uint64, data []byte) []byte { return []byte("alive") })
 	// Kill the primary path entirely.
 	f.l1a.SetDown(true)
@@ -299,7 +300,7 @@ func TestRouteFailover(t *testing.T) {
 }
 
 func TestRouteAdvisorSkipsDeadRoute(t *testing.T) {
-	f := newFixture(t, Config{BaseTimeout: 10 * sim.Millisecond, MaxRetries: 2}, Config{})
+	f := newFixture(t, Config{BaseTimeout: 10 * time.Millisecond, MaxRetries: 2}, Config{})
 	f.server.SetHandler(func(from uint64, data []byte) []byte { return []byte("ok") })
 	f.l1a.SetDown(true)
 	routes := f.routes()
@@ -336,7 +337,7 @@ func TestRouteAdvisorSkipsDeadRoute(t *testing.T) {
 func TestRouteAdvisorKeepsLastRoute(t *testing.T) {
 	// If the advisor rejects everything, the last route is still tried
 	// (better to attempt than to give up without sending).
-	f := newFixture(t, Config{BaseTimeout: 5 * sim.Millisecond, MaxRetries: 1}, Config{})
+	f := newFixture(t, Config{BaseTimeout: 5 * time.Millisecond, MaxRetries: 1}, Config{})
 	f.server.SetHandler(func(from uint64, data []byte) []byte { return []byte("ok") })
 	f.client.SetRouteAdvisor(func(r []viper.Segment) bool { return false })
 	ok := false
@@ -352,7 +353,7 @@ func TestRouteAdvisorKeepsLastRoute(t *testing.T) {
 }
 
 func TestAllRoutesFailed(t *testing.T) {
-	f := newFixture(t, Config{BaseTimeout: 5 * sim.Millisecond, MaxRetries: 1}, Config{})
+	f := newFixture(t, Config{BaseTimeout: 5 * time.Millisecond, MaxRetries: 1}, Config{})
 	f.l1a.SetDown(true)
 	f.l2a.SetDown(true)
 	var gotErr error
@@ -369,7 +370,7 @@ func TestAllRoutesFailed(t *testing.T) {
 }
 
 func TestDuplicateRequestServedFromCache(t *testing.T) {
-	f := newFixture(t, Config{BaseTimeout: 10 * sim.Millisecond}, Config{})
+	f := newFixture(t, Config{BaseTimeout: 10 * time.Millisecond}, Config{})
 	handled := 0
 	f.server.SetHandler(func(from uint64, data []byte) []byte {
 		handled++
@@ -405,7 +406,7 @@ func TestDuplicateRequestServedFromCache(t *testing.T) {
 }
 
 func TestStaleTimestampDiscarded(t *testing.T) {
-	f := newFixture(t, Config{}, Config{MPL: 2 * sim.Second})
+	f := newFixture(t, Config{}, Config{MPL: 2 * time.Second})
 	f.server.SetHandler(func(from uint64, data []byte) []byte { return []byte("no") })
 	// Run the clock forward so "old" timestamps are representable.
 	f.eng.RunUntil(10 * sim.Second)
@@ -444,7 +445,7 @@ func TestCorruptedPacketDiscarded(t *testing.T) {
 }
 
 func TestPacingSpacesPackets(t *testing.T) {
-	f := newFixture(t, Config{PacingGap: 3 * sim.Millisecond}, Config{GapAckDelay: 50 * sim.Millisecond})
+	f := newFixture(t, Config{PacingGap: 3 * time.Millisecond}, Config{GapAckDelay: 50 * time.Millisecond})
 	var arrivals []sim.Time
 	f.server.SetHandler(func(from uint64, data []byte) []byte { return nil })
 	// Spy on host deliveries via a second endpoint-level wrapper is

@@ -13,6 +13,13 @@
 //     fragmentation (§4.3);
 //   - transactional request/response with RTT estimation and failover
 //     across alternate source routes (§6.3).
+//
+// The protocol exists once, in a driver-agnostic core (core.go) tuned
+// by one Config. Two thin drivers supply what really differs: Endpoint
+// runs it in virtual time on a sim.Engine, with a callback Call over
+// alternate routes and a synchronous handler; RT runs it on the wall
+// clock, with a blocking one-route Call and a handler goroutine per
+// transaction, for real traffic (internal/gateway).
 package vmtp
 
 import (
@@ -72,6 +79,13 @@ type Header struct {
 	// lifetime.
 	Timestamp clock.Timestamp
 }
+
+// FlagProbe marks a KindRequest packet as a status probe: it carries
+// no data to place, and only elicits either the cached response (if
+// the transaction completed) or a full-mask ack (if the request was
+// received and the handler is still running). Clients send probes
+// instead of data retransmissions once the full group is acked.
+const FlagProbe uint8 = 0x01
 
 // Packet is a VMTP header plus its data slice of the message.
 type Packet struct {
